@@ -54,6 +54,13 @@ class CorrectionResult:
     f: LinMap
 
 
+@dataclass(frozen=True)
+class SquareSumResult:
+    phi: LinMap
+    source: CorrectionResult
+    target: CorrectionResult
+
+
 def pushout(i: LinMap, f: LinMap, dim_cap: int = DIM_CAP) -> PushoutResult:
     """Amalgam of i: Z->X and f: Z->Y over their common domain.
 
@@ -235,12 +242,13 @@ def square_sum(
     eps,
     delta,
     dim_cap: int = DIM_CAP,
-) -> LinMap:
-    """Block sum T0 (+) T1 between correction sums, exactly commuting.
+) -> SquareSumResult:
+    """Block sum phi = T0 (+) T1 between correction sums, exactly commuting.
 
-    Domain: X0 corrected with Y0 at eps + delta.  Codomain: X1 corrected
-    with Y1 at eps.  The delta-commutation defect of the square is absorbed
-    by the extra delta in the domain cost.
+    Domain: the source correction sum, X0 corrected with Y0 at eps + delta.
+    Codomain: the target correction sum, X1 corrected with Y1 at eps.  The
+    delta-commutation defect of the square is absorbed by the extra delta
+    in the domain cost.  Both correction sums are returned with phi.
     """
     eps, delta = rat(eps), rat(delta)
     if T0.domain != f0.domain or T0.codomain != f1.domain:
@@ -273,4 +281,4 @@ def square_sum(
         raise VerificationError("square sum fails the X identity")
     if out.matrix @ source.jY.matrix != target.jY.matrix @ T1.matrix:
         raise VerificationError("square sum fails the Y identity")
-    return out
+    return SquareSumResult(out, source, target)

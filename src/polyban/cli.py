@@ -3,8 +3,9 @@
 One verb per invocation; each verb reads JSON inputs, drives one
 construction pipeline, and emits a single canonical JSON report listing
 every exact bound checked as (claimed, computed, verdict).  Exit status
-0 means all verdicts pass, 1 means some check failed, 2 means the inputs
-were rejected before any construction ran.
+0 means all verdicts pass, 1 means some check failed (a report verdict,
+or an internal exact check raising VerificationError), 2 means the inputs
+were rejected.
 """
 
 from __future__ import annotations
@@ -25,21 +26,20 @@ from .banach import (
     norm_eval,
     operator_norm,
 )
-from .errors import ParseError, PolybanError
+from .errors import ParseError, PolybanError, VerificationError
 from .exactlin import QVec, rat, rat_str
 from .fraisse import (
     Chain,
     EpsSchedule,
     OperatorSquare,
-    _pad_matrix,
     build_chain,
     back_and_forth,
     embed_operator,
     g_witness,
-    kernel_witness_extended,
+    kernel_witness,
     make_square,
     pad_map,
-    surjectivity_witness_extended,
+    surjectivity_witness,
 )
 from .io import (
     ball_from_json,
@@ -51,6 +51,7 @@ from .io import (
     load_json,
     mat_from_json,
     mat_to_json,
+    require_field,
     space_from_json,
     space_to_json,
     spaces_table_from_json,
@@ -64,15 +65,9 @@ from .report import check_eq, check_le, check_lt, check_true, report_doc
 OK_EMBEDDING = ("isometric", "strict-eps", "eps")
 
 
-def _field(doc: dict, name: str):
-    if not isinstance(doc, dict) or name not in doc:
-        raise ParseError(f"input document is missing the {name!r} field")
-    return doc[name]
-
-
 def _load_map(doc, key: Optional[str] = None) -> LinMap:
     table = spaces_table_from_json(doc) if isinstance(doc, dict) else {}
-    obj = _field(doc, key) if key is not None else doc
+    obj = require_field(doc, key) if key is not None else doc
     return linmap_from_json(obj, table)
 
 
@@ -189,9 +184,8 @@ def cmd_square_sum(args) -> dict:
     T1 = _load_map(doc, "T1")
     f0 = _load_map(doc, "f0")
     f1 = _load_map(doc, "f1")
-    phi = square_sum(T0, T1, f0, f1, args.eps, args.delta, args.dim_cap)
-    src = correction_sum(f0, args.eps + args.delta, args.dim_cap)
-    tgt = correction_sum(f1, args.eps, args.dim_cap)
+    res = square_sum(T0, T1, f0, f1, args.eps, args.delta, args.dim_cap)
+    phi, src, tgt = res.phi, res.source, res.target
     checks = [
         check_le("norm(Phi) <= 1", operator_norm(phi), Fraction(1)),
         check_eq(
@@ -287,20 +281,23 @@ def cmd_g_witness(args) -> dict:
     T = _load_map(doc, "T")
     x0incl = _load_map(doc, "X0incl")
     y0incl = _load_map(doc, "Y0incl")
-    seed_doc = _field(doc, "seed")
-    n = _field(seed_doc, "stage")
+    seed_doc = require_field(doc, "seed")
+    n = require_field(seed_doc, "stage")
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < len(chain.stages):
         raise ParseError(f"seed stage {n!r} is not a stage index")
     stage = chain.stages[n]
     X0, Y0 = x0incl.domain, y0incl.domain
-    S = LinMap(mat_from_json(_field(seed_doc, "S"), Y0.dim, X0.dim), X0, Y0)
-    i0 = LinMap(mat_from_json(_field(seed_doc, "i0"), stage.U.dim, X0.dim), X0, stage.U)
-    i1 = LinMap(mat_from_json(_field(seed_doc, "i1"), stage.V.dim, Y0.dim), Y0, stage.V)
+    S, i0, i1 = (require_field(seed_doc, name) for name in ("S", "i0", "i1"))
+    S = LinMap(mat_from_json(S, Y0.dim, X0.dim), X0, Y0)
+    i0 = LinMap(mat_from_json(i0, stage.U.dim, X0.dim), X0, stage.U)
+    i1 = LinMap(mat_from_json(i1, stage.V.dim, Y0.dim), Y0, stage.V)
     seed = make_square(S, stage.F, i0, i1, args.eps)
     i_prime, j_prime, m, extended = g_witness(chain, T, x0incl, y0incl, seed, args.eps)
     target = extended.stages[m]
     pad_u = pad_map(stage.U, target.U)
     pad_v = pad_map(stage.V, target.V)
+    verdict_i = classify_embedding(i_prime, args.eps).verdict
+    verdict_j = classify_embedding(j_prime, args.eps).verdict
     checks = [
         check_eq(
             "dist(F_m o i', j' o T) == 0",
@@ -319,13 +316,13 @@ def cmd_g_witness(args) -> dict:
         ),
         check_true(
             "i' is at least an eps-embedding",
-            classify_embedding(i_prime, args.eps).verdict in OK_EMBEDDING,
-            computed=classify_embedding(i_prime, args.eps).verdict,
+            verdict_i in OK_EMBEDDING,
+            computed=verdict_i,
         ),
         check_true(
             "j' is at least an eps-embedding",
-            classify_embedding(j_prime, args.eps).verdict in OK_EMBEDDING,
-            computed=classify_embedding(j_prime, args.eps).verdict,
+            verdict_j in OK_EMBEDDING,
+            computed=verdict_j,
         ),
     ]
     return report_doc(
@@ -361,16 +358,8 @@ def cmd_embed(args) -> dict:
         if n == 0:
             continue
         prev = squares[n - 1]
-        pad_x = LinMap(
-            _pad_matrix(prev.S.domain.dim, sq.S.domain.dim),
-            prev.S.domain,
-            sq.S.domain,
-        )
-        pad_y = LinMap(
-            _pad_matrix(prev.S.codomain.dim, sq.S.codomain.dim),
-            prev.S.codomain,
-            sq.S.codomain,
-        )
+        pad_x = pad_map(prev.S.domain, sq.S.domain)
+        pad_y = pad_map(prev.S.codomain, sq.S.codomain)
         d0 = map_distance(
             sq.i0.compose(pad_x),
             pad_map(prev.i0.codomain, sq.i0.codomain).compose(prev.i0),
@@ -393,14 +382,15 @@ def cmd_bnf(args) -> dict:
     A = _load_chain(args.chain_a)
     B = _load_chain(args.chain_b)
     doc = load_json(args.input)
-    ka = _field(doc, "stage_a")
-    kb = _field(doc, "stage_b")
+    ka = require_field(doc, "stage_a")
+    kb = require_field(doc, "stage_b")
     for label, idx, chain in (("stage_a", ka, A), ("stage_b", kb, B)):
         if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(chain.stages):
             raise ParseError(f"{label} {idx!r} is not a stage index")
     sa, sb = A.stages[ka], B.stages[kb]
-    i0 = LinMap(mat_from_json(_field(doc, "i0"), sb.U.dim, sa.U.dim), sa.U, sb.U)
-    i1 = LinMap(mat_from_json(_field(doc, "i1"), sb.V.dim, sa.V.dim), sa.V, sb.V)
+    i0, i1 = require_field(doc, "i0"), require_field(doc, "i1")
+    i0 = LinMap(mat_from_json(i0, sb.U.dim, sa.U.dim), sa.U, sb.U)
+    i1 = LinMap(mat_from_json(i1, sb.V.dim, sa.V.dim), sa.V, sb.V)
     seed_eps = rat(doc["eps"]) if "eps" in doc else args.eps
     seed = make_square(sa.F, sb.F, i0, i1, seed_eps)
     transcript = back_and_forth(A, B, seed, args.eps, args.depth)
@@ -457,7 +447,7 @@ def cmd_kernel(args) -> dict:
     n = next(
         (idx for idx, st in enumerate(chain.stages) if st.U == i.codomain), None
     )
-    i_prime, m, extended = kernel_witness_extended(chain, x0incl, i, args.eps)
+    i_prime, m, extended = kernel_witness(chain, x0incl, i, args.eps)
     target = extended.stages[m]
     checks = [
         check_true(
@@ -487,8 +477,8 @@ def cmd_kernel(args) -> dict:
 def cmd_surject(args) -> dict:
     chain = _load_chain(args.chain)
     doc = load_json(args.input)
-    v = vec_from_json(_field(doc, "v"))
-    m, u, extended = surjectivity_witness_extended(chain, v)
+    v = vec_from_json(require_field(doc, "v"))
+    m, u, extended = surjectivity_witness(chain, v)
     target = extended.stages[m]
     lifted = v.concat(QVec.zero(target.V.dim - v.dim))
     checks = [
@@ -509,10 +499,6 @@ def cmd_surject(args) -> dict:
         u=vec_to_json(u),
         chain=chain_to_json(extended),
     )
-
-
-def _rat_flag(text: str) -> Fraction:
-    return rat(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -541,18 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("amalgam-correct", cmd_amalgam_correct)
     p.add_argument("input", help="JSON file with the map f")
-    p.add_argument("--eps", type=_rat_flag, required=True)
+    p.add_argument("--eps", type=rat, required=True)
     p.add_argument("--dim-cap", type=int, default=DIM_CAP)
 
     p = add("square-sum", cmd_square_sum)
     p.add_argument("input", help="JSON file with T0, T1, f0, f1")
-    p.add_argument("--eps", type=_rat_flag, required=True)
-    p.add_argument("--delta", type=_rat_flag, required=True)
+    p.add_argument("--eps", type=rat, required=True)
+    p.add_argument("--delta", type=rat, required=True)
     p.add_argument("--dim-cap", type=int, default=DIM_CAP)
 
     p = add("repair", cmd_repair)
     p.add_argument("input", help="JSON file with T and the pins i0, j0")
-    p.add_argument("--delta", type=_rat_flag, required=True)
+    p.add_argument("--delta", type=rat, required=True)
     p.add_argument("--dim-cap", type=int, default=DIM_CAP)
 
     p = add("chain-build", cmd_chain_build)
@@ -563,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("g-witness", cmd_g_witness)
     p.add_argument("chain", help="chain JSON file")
     p.add_argument("input", help="JSON file with T, X0incl, Y0incl, seed")
-    p.add_argument("--eps", type=_rat_flag, required=True)
+    p.add_argument("--eps", type=rat, required=True)
 
     p = add("embed", cmd_embed)
     p.add_argument("chain", help="chain JSON file")
@@ -574,13 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chain_a", help="first chain JSON file")
     p.add_argument("chain_b", help="second chain JSON file")
     p.add_argument("input", help="JSON file with stage_a, stage_b, i0, i1")
-    p.add_argument("--eps", type=_rat_flag, required=True)
+    p.add_argument("--eps", type=rat, required=True)
     p.add_argument("--depth", type=int, required=True)
 
     p = add("kernel", cmd_kernel)
     p.add_argument("chain", help="chain JSON file")
     p.add_argument("input", help="JSON file with X0incl and i")
-    p.add_argument("--eps", type=_rat_flag, required=True)
+    p.add_argument("--eps", type=rat, required=True)
 
     p = add("surject", cmd_surject)
     p.add_argument("chain", help="chain JSON file")
@@ -593,6 +579,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = args.handler(args)
+    except VerificationError as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return 1
     except PolybanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,8 @@ and surjectivity witnesses specialize ``g_witness`` to zero targets and to
 point preimages.
 
 Everything is exact: realized squares commute with equality, embeddings
-are isometric, and every advertised bound is re-verified before a value
-is returned.
+are isometric, and every advertised bound is verified before a value is
+returned, by exactly one check on each path.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .amalgam import correction_sum, pushout, square_sum
+from .amalgam import pushout, square_sum
 from .banach import (
     LinMap,
     Space,
@@ -404,16 +404,6 @@ def _repeat_stage(chain: Chain, task: Task, verdict: str) -> Chain:
     return Chain(chain.stages + (stage,), chain.log + (entry,), chain.dim_cap, chain.seed)
 
 
-def _verify_stage(prev: ChainStage, stage: ChainStage) -> None:
-    norm_f = operator_norm(stage.F)
-    if norm_f > 1:
-        raise VerificationError(f"stage operator has norm {norm_f} > 1")
-    if stage.F.matrix @ stage.inclU.matrix != stage.inclV.matrix @ prev.F.matrix:
-        raise VerificationError("stage does not extend the previous operator")
-    if not is_isometric(stage.inclU) or not is_isometric(stage.inclV):
-        raise VerificationError("stage inclusion lost isometry")
-
-
 def _step_realize(
     chain: Chain, task: Task, cap: int
 ) -> tuple[Chain, LinMap, LinMap]:
@@ -436,15 +426,16 @@ def _step_realize(
     spanning = inclU.matrix.hstack(emb_x.matrix)
     images = (inclV.matrix @ prev.F.matrix).hstack(emb_y.matrix @ task.T.matrix)
     F_new = solve_through(spanning, images, U_new, V_new)
+    # Only nonexpansiveness is left to check; every other stage fact is
+    # certified once above.  realize_over certified inclU, inclV, emb_x and
+    # emb_y isometric, and emb_x o i == inclU o via_u (likewise for j): a
+    # product of coordinate pads, so these are the retraction identities.
+    # solve_through certified that F_new extends prev.F along the
+    # inclusions and realizes the task square (condition (c)).
+    norm_f = operator_norm(F_new)
+    if norm_f > 1:
+        raise VerificationError(f"stage operator has norm {norm_f} > 1")
     stage = ChainStage(U_new, V_new, F_new, inclU, inclV)
-    _verify_stage(prev, stage)
-    # Condition (c): the task is realized exactly, with retractions.
-    if F_new.matrix @ emb_x.matrix != emb_y.matrix @ task.T.matrix:
-        raise VerificationError("realized stage failed the task square")
-    if emb_x.matrix @ task.i.matrix != _pad_matrix(anchor.U.dim, U_new.dim):
-        raise VerificationError("domain retraction identity failed")
-    if emb_y.matrix @ task.j.matrix != _pad_matrix(anchor.V.dim, V_new.dim):
-        raise VerificationError("codomain retraction identity failed")
     verdict = "realized" if max(new_u, new_v) <= chain.dim_cap else "realized:cap-bypass"
     entry = LogEntry(len(chain.stages), task.label(), verdict)
     new_chain = Chain(
@@ -597,11 +588,10 @@ def claim_step(
             raise PreconditionError("inexact square needs a positive eps")
         if f.defect > f.eps:
             raise PreconditionError("square defect exceeds its eps")
-        target = square_sum(f.S, f.T, f.i0, f.i1, f.eps, f.defect)
-        source_corr = correction_sum(f.i0, f.eps + f.defect)
-        target_corr = correction_sum(f.i1, f.eps)
-        x0, y0 = source_corr.iX, target_corr.iX
-        out_x, out_y = source_corr.jY, target_corr.jY
+        summed = square_sum(f.S, f.T, f.i0, f.i1, f.eps, f.defect)
+        target = summed.phi
+        x0, y0 = summed.source.iX, summed.target.iX
+        out_x, out_y = summed.source.jY, summed.target.jY
         inner_seed = seed
     i_prime, j_prime, m, extended = g_witness(
         chain, target, x0, y0, inner_seed, eps
@@ -685,10 +675,17 @@ def space_witness(
     return j_prime
 
 
-def kernel_witness_extended(
+def kernel_witness(
     chain: Chain, X0incl: LinMap, i: LinMap, eps
 ) -> tuple[LinMap, int, Chain]:
-    """kernel_witness with the landing stage and the extended chain."""
+    """Embed X into the exact kernel of a later stage m, extending i.
+
+    i must already land in the kernel of its stage: the witness is
+    g_witness run against the zero operator into the zero space, whose
+    exactness forces F_m after the result to vanish identically.  Returns
+    the embedding, m and the extended chain; g_witness checks that X0incl
+    and i are isometric.
+    """
     n = next(
         (idx for idx, st in enumerate(chain.stages) if st.U == i.codomain),
         None,
@@ -698,8 +695,6 @@ def kernel_witness_extended(
     stage = chain.stages[n]
     if not (stage.F.matrix @ i.matrix).is_zero():
         raise PreconditionError("i does not land in the kernel of the stage map")
-    if not is_isometric(X0incl) or not is_isometric(i):
-        raise PreconditionError("witness inputs must be isometric")
     zero = zero_space()
     X = X0incl.codomain
     T_op = LinMap.zero(X, zero)
@@ -715,21 +710,14 @@ def kernel_witness_extended(
     return i_prime, m, extended
 
 
-def kernel_witness(chain: Chain, X0incl: LinMap, i: LinMap, eps) -> LinMap:
-    """Embed X into the exact kernel of a later stage, extending i.
+def surjectivity_witness(chain: Chain, v: QVec) -> tuple[int, QVec, Chain]:
+    """A stage m and u with F_m(u) = v exactly, and the chain m lives in.
 
-    i must already land in the kernel of its stage: the witness is
-    g_witness run against the zero operator into the zero space, whose
-    exactness forces F_m after the result to vanish identically.
+    v is read in the coordinates of the first stage codomain that can hold
+    it.  If v is already in the range the preimage is returned directly;
+    otherwise the identity on the span of v is realized by g_witness with
+    the span seeded in place, which makes the preimage exact.
     """
-    i_prime, _, _ = kernel_witness_extended(chain, X0incl, i, eps)
-    return i_prime
-
-
-def surjectivity_witness_extended(
-    chain: Chain, v: QVec
-) -> tuple[int, QVec, Chain]:
-    """surjectivity_witness with the chain the preimage lives in."""
     if v.is_zero():
         raise PreconditionError("v must be nonzero")
     n = next(
@@ -769,18 +757,6 @@ def surjectivity_witness_extended(
     if target.F.matrix.apply(u) != lifted:
         raise VerificationError("surjectivity witness failed the exact equality")
     return m, u, extended
-
-
-def surjectivity_witness(chain: Chain, v: QVec) -> tuple[int, QVec]:
-    """A stage m and u with F_m(u) = v exactly.
-
-    v is read in the coordinates of the first stage codomain that can hold
-    it.  If v is already in the range the preimage is returned directly;
-    otherwise the identity on the span of v is realized by g_witness with
-    the span seeded in place, which makes the preimage exact.
-    """
-    m, u, _ = surjectivity_witness_extended(chain, v)
-    return m, u
 
 
 def _truncation(T: LinMap, n: int) -> tuple[Space, Space, LinMap, QMat, QMat]:
@@ -858,9 +834,9 @@ def embed_operator(
             )
             squares.append(current)
             continue
-        pad_x = LinMap(_pad_matrix(prev_x.dim, Xn.dim), prev_x, Xn)
-        pad_y = LinMap(_pad_matrix(prev_y.dim, Yn.dim), prev_y, Yn)
-        incl_square = make_square(prev_t, Tn, pad_x, pad_y, schedule.eps(n))
+        incl_square = make_square(
+            prev_t, Tn, pad_map(prev_x, Xn), pad_map(prev_y, Yn), schedule.eps(n)
+        )
         if incl_square.defect != 0:
             raise VerificationError("truncation tower failed to nest")
         g_square, chain, close0, close1 = claim_step(

@@ -14,10 +14,10 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .banach import LinMap, Space
-from .errors import DimensionMismatch, ParseError
+from .banach import LinMap, Space, is_isometric, operator_norm
+from .errors import DimensionMismatch, ParseError, VerificationError
 from .exactlin import QMat, QVec, rat, rat_str
-from .fraisse import Chain, ChainStage, LogEntry, _verify_stage, pad_map
+from .fraisse import Chain, ChainStage, LogEntry, pad_map
 from .polytope import Ball, complete_representations
 
 
@@ -25,10 +25,6 @@ def rat_from_json(obj) -> Fraction:
     if isinstance(obj, bool) or not isinstance(obj, (str, int)):
         raise ParseError(f"expected a rational string, got {obj!r}")
     return rat(obj)
-
-
-def rat_to_json(value: Fraction) -> str:
-    return rat_str(value)
 
 
 def vec_from_json(obj, dim: Optional[int] = None) -> QVec:
@@ -41,7 +37,7 @@ def vec_from_json(obj, dim: Optional[int] = None) -> QVec:
 
 
 def vec_to_json(vec: QVec) -> list:
-    return [rat_to_json(v) for v in vec.entries]
+    return [rat_str(v) for v in vec.entries]
 
 
 def mat_from_json(obj, rows: int, cols: int) -> QMat:
@@ -54,7 +50,7 @@ def mat_from_json(obj, rows: int, cols: int) -> QMat:
 
 
 def mat_to_json(mat: QMat) -> list:
-    return [[rat_to_json(v) for v in row] for row in mat.entries]
+    return [[rat_str(v) for v in row] for row in mat.entries]
 
 
 def ball_from_json(obj) -> Ball:
@@ -151,7 +147,26 @@ def chain_to_json(chain: Chain) -> dict:
     return {"dim_cap": chain.dim_cap, "seed": chain.seed, "stages": stages}
 
 
+def require_field(doc, name: str, what: str = "input document"):
+    """doc[name], or a ParseError naming the missing field."""
+    if not isinstance(doc, dict) or name not in doc:
+        raise ParseError(f"{what} is missing the {name!r} field")
+    return doc[name]
+
+
+def _verify_stage(prev: ChainStage, stage: ChainStage) -> None:
+    """Full check of a loaded stage against its predecessor."""
+    norm_f = operator_norm(stage.F)
+    if norm_f > 1:
+        raise VerificationError(f"stage operator has norm {norm_f} > 1")
+    if stage.F.matrix @ stage.inclU.matrix != stage.inclV.matrix @ prev.F.matrix:
+        raise VerificationError("stage does not extend the previous operator")
+    if not is_isometric(stage.inclU) or not is_isometric(stage.inclV):
+        raise VerificationError("stage inclusion lost isometry")
+
+
 def chain_from_json(obj, verify: bool = True) -> Chain:
+    """Rebuild a chain; with verify, every stage is checked in full."""
     if not isinstance(obj, dict) or "stages" not in obj:
         raise ParseError("chain object needs a stages list")
     dim_cap = obj.get("dim_cap")
@@ -160,14 +175,16 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParseError(f"chain {name} must be an integer")
     raw_stages = obj["stages"]
-    if not raw_stages:
-        raise ParseError("chain needs at least stage 0")
+    if not isinstance(raw_stages, list) or not raw_stages:
+        raise ParseError("chain needs a stages list with at least stage 0")
     stages: list[ChainStage] = []
     log: list[LogEntry] = []
     for idx, record in enumerate(raw_stages):
-        U = space_from_json(record["U"])
-        V = space_from_json(record["V"])
-        F = LinMap(mat_from_json(record["F"], V.dim, U.dim), U, V)
+        what = f"chain stage {idx}"
+        U = space_from_json(require_field(record, "U", what))
+        V = space_from_json(require_field(record, "V", what))
+        F_rows = require_field(record, "F", what)
+        F = LinMap(mat_from_json(F_rows, V.dim, U.dim), U, V)
         if idx == 0:
             incl_u, incl_v = LinMap.identity(U), LinMap.identity(V)
         else:
@@ -181,7 +198,10 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
         if idx > 0:
             if not isinstance(entry, dict):
                 raise ParseError(f"stage {idx} is missing its log entry")
-            log.append(LogEntry(idx, str(entry["task"]), str(entry["verdict"])))
+            what = f"log entry of stage {idx}"
+            task = require_field(entry, "task", what)
+            verdict = require_field(entry, "verdict", what)
+            log.append(LogEntry(idx, str(task), str(verdict)))
     return Chain(tuple(stages), tuple(log), dim_cap, seed)
 
 
@@ -195,8 +215,13 @@ def save_json(path: str, doc) -> None:
 
 
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

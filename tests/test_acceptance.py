@@ -52,10 +52,10 @@ from polyban.fraisse import (
     enumerate_tasks,
     g_witness,
     glue_task,
-    kernel_witness_extended,
+    kernel_witness,
     pad_map,
     step_chain,
-    surjectivity_witness_extended,
+    surjectivity_witness,
     zero_chain,
 )
 from polyban.io import chain_to_json, dumps_canonical
@@ -261,7 +261,7 @@ def test_criterion_04_delta_commutative_squares():
                 T0.matrix + scale_matrix(bump.matrix, delta / 2), X0, Y0
             )
         defect = map_distance(f1.compose(T0), T1.compose(f0))
-        phi = square_sum(T0, T1, f0, f1, eps, delta)
+        phi = square_sum(T0, T1, f0, f1, eps, delta).phi
         src = correction_sum(f0, eps + delta)
         tgt = correction_sum(f1, eps)
         assert operator_norm(phi) <= 1
@@ -525,14 +525,14 @@ def test_criterion_10_kernel_and_surjectivity(chain20, kernel_chain):
         v = sample_point(rnd, dim, spread=4)
         while v.is_zero():
             v = sample_point(rnd, dim, spread=4)
-        m, u, extended = surjectivity_witness_extended(chain20, v)
+        m, u, extended = surjectivity_witness(chain20, v)
         stage = extended.stages[m]
         lifted = v.concat(QVec.zero(stage.V.dim - v.dim))
         assert stage.F.matrix.apply(u) == lifted
         surjections += 1
     for scale in (Fraction(1), Fraction(-3, 2)):
         v = QVec.of([scale])
-        m, u, extended = surjectivity_witness_extended(kernel_chain, v)
+        m, u, extended = surjectivity_witness(kernel_chain, v)
         stage = extended.stages[m]
         lifted = v.concat(QVec.zero(stage.V.dim - v.dim))
         assert stage.F.matrix.apply(u) == lifted
@@ -559,7 +559,7 @@ def test_criterion_10_kernel_and_surjectivity(chain20, kernel_chain):
             x0incl = LinMap.identity(line())
         else:
             x0incl = LinMap(QMat.from_rows([[1], [0]]), line(), l1_space(2))
-        i_prime, m, extended = kernel_witness_extended(
+        i_prime, m, extended = kernel_witness(
             kernel_chain, x0incl, i, eps
         )
         target = extended.stages[m]

@@ -239,14 +239,14 @@ class TestSquareSum:
     def test_identity_square(self):
         Z = line()
         one = LinMap.identity(Z)
-        got = square_sum(one, one, one, one, Fraction(1, 4), Fraction(1, 4))
+        got = square_sum(one, one, one, one, Fraction(1, 4), Fraction(1, 4)).phi
         assert got.matrix == QMat.identity(2)
 
     def test_zero_operators(self):
         Z = line()
         one = LinMap.identity(Z)
         zero = LinMap.zero(Z, Z)
-        got = square_sum(zero, zero, one, one, Fraction(1, 4), Fraction(1, 4))
+        got = square_sum(zero, zero, one, one, Fraction(1, 4), Fraction(1, 4)).phi
         assert got.matrix.is_zero()
 
     def test_commuting_identities(self):
@@ -256,9 +256,10 @@ class TestSquareSum:
         f0 = LinMap.identity(Z)
         f1 = lmap([[Fraction(7, 8)]], Z, Z)
         eps = delta = Fraction(1, 4)
-        got = square_sum(T0, T1, f0, f1, eps, delta)
-        src = correction_sum(f0, eps + delta)
-        dst = correction_sum(f1, eps)
+        res = square_sum(T0, T1, f0, f1, eps, delta)
+        got, src, dst = res.phi, res.source, res.target
+        assert src == correction_sum(f0, eps + delta)
+        assert dst == correction_sum(f1, eps)
         assert got.matrix @ src.iX.matrix == dst.iX.matrix @ T0.matrix
         assert got.matrix @ src.jY.matrix == dst.jY.matrix @ T1.matrix
         assert operator_norm(got) <= 1
@@ -272,7 +273,7 @@ class TestSquareSum:
         T0 = LinMap.identity(X)
         T1 = LinMap.identity(Y)
         assert classify_embedding(f0, Fraction(1)).verdict != "not-eps"
-        got = square_sum(T0, T1, f0, f1, Fraction(1), Fraction(1, 4))
+        got = square_sum(T0, T1, f0, f1, Fraction(1), Fraction(1, 4)).phi
         assert operator_norm(got) <= 1
 
     def test_rejects_non_embedding(self):

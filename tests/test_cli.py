@@ -366,6 +366,53 @@ class TestErrorPaths:
         assert main(["surject", str(work / "chain.json"), str(path)]) == 2
         assert "'v'" in capsys.readouterr().err
 
+    def surject_with_chain(self, work, tmp_path, capsys, tamper) -> str:
+        doc = load_json(str(work / "chain.json"))
+        tamper(doc["chain"]["stages"][1])
+        chain = tmp_path / "chain.json"
+        save_json(str(chain), doc)
+        target = tmp_path / "v.json"
+        save_json(str(target), {"v": ["1"]})
+        assert main(["surject", str(chain), str(target)]) == 2
+        return capsys.readouterr().err
+
+    def test_chain_stage_without_space_named(self, work, tmp_path, capsys):
+        err = self.surject_with_chain(
+            work, tmp_path, capsys, lambda stage: stage.pop("U")
+        )
+        assert "chain stage 1 is missing the 'U' field" in err
+
+    def test_log_entry_without_task_named(self, work, tmp_path, capsys):
+        err = self.surject_with_chain(
+            work, tmp_path, capsys, lambda stage: stage["log"].pop("task")
+        )
+        assert "log entry of stage 1 is missing the 'task' field" in err
+
+    @pytest.mark.parametrize("content", [None, b'{"v": ["\xe9"]}'])
+    def test_unreadable_input_path_named(self, work, tmp_path, capsys, content):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["surject", str(work / "chain.json"), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+
+    def test_internal_verification_failure_exits_one(self, monkeypatch, capsys):
+        import pathlib
+
+        import polyban.cli
+        from polyban.errors import VerificationError
+
+        def broken(*args, **kwargs):
+            raise VerificationError("planted failure")
+
+        monkeypatch.setattr(polyban.cli, "pushout", broken)
+        data = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+        assert main(["amalgam-pushout", str(data / "pushout_pair.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: verification failed: planted failure\n"
+        assert captured.out == ""
+
     def test_console_entry_point(self, tmp_path):
         ident = LinMap(QMat.identity(1), line(), line())
         path = tmp_path / "m.json"

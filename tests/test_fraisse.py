@@ -437,9 +437,10 @@ class TestKernelWitness:
         plane = linf_space(2)
         sub, incl = axis_subspace(plane)
         i = LinMap(QMat.identity(1), sub, stage.U)
-        w = kernel_witness(chain, incl, i, F(1, 4))
+        w, m, extended = kernel_witness(chain, incl, i, F(1, 4))
         assert is_isometric(w)
         assert w.domain == plane
+        assert (extended.stages[m].F.matrix @ w.matrix).is_zero()
 
     def test_rejects_non_kernel_seed(self):
         chain = step_chain(zero_chain(4, 0), glue_task(1))
@@ -455,13 +456,13 @@ class TestSurjectivityWitness:
     def test_fast_path_in_range(self):
         chain = build_chain(6, dim_cap=4, seed=0)
         v = QVec.of([F(1), F(1)])
-        m, u = surjectivity_witness(chain, v)
+        m, u, _ = surjectivity_witness(chain, v)
         assert m == 5
         assert u.entries == (F(-1), F(-1))
 
     def test_slow_path_outside_range(self):
         chain = step_chain(zero_chain(4, 0), glue_task(0))
-        m, u = surjectivity_witness(chain, QVec.of([F(1)]))
+        m, u, _ = surjectivity_witness(chain, QVec.of([F(1)]))
         assert m == 2
         # the witness stage hits v on the nose
         target = chain  # original chain is not mutated
