@@ -4,11 +4,11 @@ A Space is a coordinate space Q^n together with a completed unit Ball; a
 LinMap is a rational matrix between two such spaces.  Everything downstream
 (amalgams, repairs, chains) is phrased in terms of the operations here:
 norm and dual norm evaluation, operator norm, the exact lower isometry
-bound over the unit sphere, embedding classification, l1 sums and
-quotients.
+bound over the unit sphere, embedding classification, l1 sums, quotients
+and pullbacks.
 
-All values are exact rationals; every optimum is certified by a vertex or
-an LP solution, never sampled.
+All values are exact rationals; every optimum is attained at a vertex of a
+completed ball, never sampled.
 """
 
 from __future__ import annotations
@@ -18,18 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
-from .exactlin import (
-    EQ,
-    GE,
-    OPTIMAL,
-    LpProblem,
-    QMat,
-    QVec,
-    _rref,
-    lp_solve,
-    rank,
-    rat,
-)
+from .exactlin import QMat, QVec, _rref, rank, rat
 from .polytope import (
     DIM_CAP,
     Ball,
@@ -162,51 +151,36 @@ def map_distance(S: LinMap, T: LinMap) -> Fraction:
     return operator_norm(LinMap(S.matrix - T.matrix, S.domain, S.codomain))
 
 
+def _pullback_ball(T: LinMap) -> Optional[Ball]:
+    """The completed ball {x : ||T x|| <= 1}, or None when T has a kernel."""
+    try:
+        return pullback_space(T.matrix, T.codomain, T.domain.dim).ball
+    except PreconditionError:
+        return None
+
+
 def lower_isometry_bound(T: LinMap) -> Fraction:
     """Exact min of ||T x|| over the domain unit sphere.
 
-    The sphere is the union of the ball's facets; on the facet spanned by
-    vertices u_i the minimum of the codomain norm is the value of the matrix
-    game with payoff psi_k(T u_i) over the signed codomain functionals
-    psi_k.  The game LP (maximize the floor w of the mixed rows) is solved
-    per facet and the facet minima are folded together.
+    For injective T the pullback ball P = {x : ||T x|| <= 1} is a polytope,
+    and min ||T x|| / ||x|| = 1 / max ||w|| over the vertices w of P, since a
+    norm is largest on P at a vertex.  A T with a kernel reaches 0.
     """
     if T.domain.dim == 0:
         return Fraction(1)
-    if T.codomain.dim == 0:
+    pullback = _pullback_ball(T)
+    if pullback is None:
         return Fraction(0)
-    signed_psi = T.codomain.ball.signed_hrep()
-    n = len(signed_psi)
-    signed_verts = T.domain.ball.signed_vrep()
-    images = {u.entries: T(u) for u in signed_verts}
-    best: Optional[Fraction] = None
-    for phi in T.domain.ball.hrep:
-        facet = [u for u in signed_verts if phi.dot(u) == 1]
-        constraints = [(QVec.of([1] * n + [0]), EQ, Fraction(1))]
-        for u in facet:
-            image = images[u.entries]
-            row = [psi.dot(image) for psi in signed_psi] + [Fraction(-1)]
-            constraints.append((QVec.of(row), GE, Fraction(0)))
-        problem = LpProblem(
-            objective=QVec.of([0] * n + [1]),
-            constraints=tuple(constraints),
-            sense="max",
-            nonneg=(True,) * n + (False,),
-        )
-        status, payload = lp_solve(problem)
-        assert status == OPTIMAL, "facet game LP must be solvable"
-        value = payload[0]
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    return best
+    return 1 / max(norm_eval(T.domain, w) for w in pullback.vrep)
 
 
 def is_isometric(T: LinMap) -> bool:
-    """Exact isometry test; vacuous truth on a zero-dimensional domain."""
-    if T.domain.dim == 0:
-        return True
-    return operator_norm(T) == 1 and lower_isometry_bound(T) == 1
+    """Exact isometry test: T pulls the codomain ball back onto the domain ball.
+
+    A T with a kernel has no pullback ball.  Completed balls are canonical,
+    so this is plain equality; a zero-dimensional domain holds vacuously.
+    """
+    return _pullback_ball(T) == T.domain.ball
 
 
 def classify_embedding(T: LinMap, eps) -> EmbeddingClass:
@@ -299,5 +273,4 @@ def pullback_space(B: QMat, Y: Space, dim_cap: int = DIM_CAP) -> Space:
     if rank(B) < k:
         raise PreconditionError("pullback needs an injective matrix")
     bt = B.transpose()
-    functionals = [bt.apply(phi) for phi in Y.ball.signed_hrep()]
-    return space_from_hrep(k, functionals, dim_cap)
+    return space_from_hrep(k, [bt.apply(phi) for phi in Y.ball.hrep], dim_cap)

@@ -8,6 +8,7 @@ fixed index order so that repeated runs produce identical results.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -26,9 +27,15 @@ LE = "<="
 EQ = "="
 GE = ">="
 
+_RAT_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def rat(value: RatLike) -> Fraction:
     """Convert an int, a ``p/q`` string, or a Fraction to an exact rational.
+
+    Strings must match ``-?[0-9]+(/[0-9]+)?`` once surrounding whitespace is
+    stripped; decimals, exponents, underscores and non-ASCII digits are
+    rejected, so a number's size is bounded by the length of its text.
 
     Examples:
         >>> rat("3/4")
@@ -38,12 +45,12 @@ def rat(value: RatLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RAT_GRAMMAR.fullmatch(value.strip()):
         try:
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     raise ParseError(f"not a rational: {value!r}")
 

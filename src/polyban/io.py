@@ -11,7 +11,6 @@ byte-equal files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from .banach import LinMap, Space, is_isometric, operator_norm
@@ -21,16 +20,10 @@ from .fraisse import Chain, ChainStage, LogEntry, pad_map
 from .polytope import Ball, complete_representations
 
 
-def rat_from_json(obj) -> Fraction:
-    if isinstance(obj, bool) or not isinstance(obj, (str, int)):
-        raise ParseError(f"expected a rational string, got {obj!r}")
-    return rat(obj)
-
-
 def vec_from_json(obj, dim: Optional[int] = None) -> QVec:
     if not isinstance(obj, list):
         raise ParseError(f"expected a vector list, got {obj!r}")
-    vec = QVec.of(rat_from_json(v) for v in obj)
+    vec = QVec.of(rat(v) for v in obj)
     if dim is not None and vec.dim != dim:
         raise DimensionMismatch(f"vector has dim {vec.dim}, expected {dim}")
     return vec

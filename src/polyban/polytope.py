@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import CapExceeded, DimensionMismatch, NotANorm
+from .errors import CapExceeded, DimensionMismatch, NotANorm, VerificationError
 from .exactlin import OPTIMAL, LpProblem, QMat, QVec, invert, lp_solve, rank
 
 DIM_CAP = 8
@@ -61,7 +61,8 @@ class Ball:
         return Ball(dim, None, canon_set(functionals))
 
     def signed_vrep(self) -> list[QVec]:
-        assert self.vrep is not None
+        if self.vrep is None:
+            raise VerificationError("ball has no vrep")
         out: list[QVec] = []
         for v in self.vrep:
             out.append(v)
@@ -69,7 +70,8 @@ class Ball:
         return out
 
     def signed_hrep(self) -> list[QVec]:
-        assert self.hrep is not None
+        if self.hrep is None:
+            raise VerificationError("ball has no hrep")
         out: list[QVec] = []
         for phi in self.hrep:
             out.append(phi)

@@ -121,8 +121,8 @@ def sphere_min_by_facet_lp(matrix, domain, codomain):
 
     Primal form: parameterize the facet by barycentric weights over its
     vertices and minimize the epigraph variable t bounding every signed
-    codomain functional of the image.  Independent of the game-form LP in
-    the library.
+    codomain functional of the image.  Independent of the pullback-ball
+    computation in the library.
     """
     from polyban.exactlin import LpProblem, lp_solve, OPTIMAL
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import coset_min_norm, sphere_min_by_facet_lp
@@ -16,6 +16,7 @@ from polyban.banach import (
     Space,
     classify_embedding,
     dual_norm_eval,
+    is_isometric,
     l1_space,
     l1_sum,
     line,
@@ -30,12 +31,31 @@ from polyban.banach import (
     zero_space,
 )
 from polyban.errors import DimensionMismatch, PreconditionError
-from polyban.exactlin import QMat, QVec
+from polyban.exactlin import QMat, QVec, rank
 from polyban.polytope import Ball
 
 
 def lmap(rows, domain, codomain):
     return LinMap(QMat.from_rows(rows, cols=domain.dim), domain, codomain)
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+def matrices(rows, cols):
+    return st.lists(
+        st.lists(small, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def vrep_spaces(draw, dim):
+    """A random vrep ball of the given dim (dim 0 gives the zero space)."""
+    if dim == 0:
+        return zero_space()
+    gens = draw(matrices(draw(st.integers(dim, dim + 2)), dim))
+    assume(rank(QMat.from_rows(gens, cols=dim)) == dim)
+    return space_from_vrep(dim, [QVec.of(g) for g in gens])
 
 
 class TestSpace:
@@ -134,22 +154,28 @@ class TestLowerIsometryBound:
     def test_zero_dim_codomain(self):
         assert lower_isometry_bound(LinMap.zero(line(), zero_space())) == 0
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.lists(
-            st.fractions(min_value=-2, max_value=2, max_denominator=3),
-            min_size=4,
-            max_size=4,
-        ),
-        st.booleans(),
-        st.booleans(),
-    )
-    def test_matches_primal_facet_lp(self, entries, dom_l1, cod_l1):
-        domain = l1_space(2) if dom_l1 else linf_space(2)
-        codomain = l1_space(2) if cod_l1 else linf_space(2)
-        T = lmap([entries[:2], entries[2:]], domain, codomain)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_primal_facet_lp(self, data):
+        dom_dim = data.draw(st.integers(1, 3))
+        domain = data.draw(vrep_spaces(dom_dim))
+        kind = data.draw(st.sampled_from(["random", "rank-deficient", "l1-pad"]))
+        if kind == "l1-pad":
+            # inl into X (+)_1 W, scaled: isometric exactly at scale 1.
+            extra = data.draw(st.integers(0, 4 - dom_dim))
+            codomain, T, _ = l1_sum(domain, data.draw(vrep_spaces(extra)))
+            scale = data.draw(st.sampled_from(["1", "1/2", "3/2"]))
+            T = LinMap(T.matrix.scale(scale), domain, codomain)
+        else:
+            codomain = data.draw(vrep_spaces(data.draw(st.integers(1, 4))))
+            rows = data.draw(matrices(codomain.dim, dom_dim))
+            if kind == "rank-deficient":
+                # The last column repeats half the first, or is zero.
+                rows = [row[:-1] + [row[0] / 2 if dom_dim > 1 else 0] for row in rows]
+            T = lmap(rows, domain, codomain)
         expected = sphere_min_by_facet_lp(T.matrix, domain, codomain)
         assert lower_isometry_bound(T) == expected
+        assert is_isometric(T) == (operator_norm(T) == 1 and expected == 1)
 
 
 class TestClassifyEmbedding:

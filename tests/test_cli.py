@@ -360,6 +360,13 @@ class TestErrorPaths:
         assert main(["surject", str(work / "chain.json"), str(path)]) == 2
         assert "not a rational" in capsys.readouterr().err
 
+    def test_exponent_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["amalgam-correct", "unused.json", "--eps", "1e3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--eps" in err and "Traceback" not in err
+
     def test_missing_field_named(self, work, tmp_path, capsys):
         path = tmp_path / "empty.json"
         save_json(str(path), {})

@@ -36,19 +36,32 @@ def qvec(*values):
 class TestRat:
     def test_parse_forms(self):
         assert rat("3/4") == Fraction(3, 4)
+        assert rat("-3/4") == Fraction(-3, 4)
         assert rat("-7") == Fraction(-7)
+        assert rat(" 6/4\n") == Fraction(3, 2)
         assert rat(2) == Fraction(2)
         assert rat(Fraction(1, 3)) == Fraction(1, 3)
 
     def test_canonical_string(self):
         assert rat_str(Fraction(3, 4)) == "3/4"
         assert rat_str(Fraction(-8, 2)) == "-4"
+        for value in (Fraction(-3, 4), Fraction(5), Fraction(7)):
+            assert rat(rat_str(value)) == value
 
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
             rat("1/0")
         with pytest.raises(ParseError):
             rat("two")
+
+    @pytest.mark.parametrize(
+        "value",
+        ["3/0", "1e3", "0.5", "1_000", "+1", "1/-2", "", "\u0661\u0662", 0.5, True],
+        ids=repr,
+    )
+    def test_rejects_outside_grammar(self, value):
+        with pytest.raises(ParseError):
+            rat(value)
 
 
 class TestSolveLinear:

@@ -1,7 +1,6 @@
 """JSON exchange formats: canonical rendering, round trips, rejection paths."""
 
 import pathlib
-from fractions import Fraction
 
 import pytest
 
@@ -19,32 +18,12 @@ from polyban.io import (
     linmap_to_json,
     load_json,
     mat_from_json,
-    rat_from_json,
     space_from_json,
     space_to_json,
     spaces_table_from_json,
     save_json,
     vec_from_json,
 )
-
-
-class TestRational:
-    def test_round_trip(self):
-        assert rat_from_json("-3/4") == Fraction(-3, 4)
-        assert rat_from_json(5) == Fraction(5)
-        assert rat_from_json("7") == Fraction(7)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ParseError):
-            rat_from_json("3/0")
-
-    def test_float_rejected(self):
-        with pytest.raises(ParseError):
-            rat_from_json(0.5)
-
-    def test_bool_rejected(self):
-        with pytest.raises(ParseError):
-            rat_from_json(True)
 
 
 class TestVectorsAndMatrices:

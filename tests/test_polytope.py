@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_gauge, brute_force_vertices
-from polyban.errors import CapExceeded, NotANorm
+from polyban.errors import CapExceeded, NotANorm, VerificationError
 from polyban.exactlin import QMat, QVec
 from polyban.polytope import (
     Ball,
@@ -116,6 +116,12 @@ class TestValidation:
     def test_consistent_pair_accepted(self):
         ball = Ball(2, vecs((0, 1), (1, 0)), vecs((1, -1), (1, 1)))
         assert complete_representations(ball) == ball
+
+    def test_signed_rep_of_a_missing_side_rejected(self):
+        with pytest.raises(VerificationError):
+            Ball.from_hrep(1, vecs((1,))).signed_vrep()
+        with pytest.raises(VerificationError):
+            Ball.from_vrep(1, vecs((1,))).signed_hrep()
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
