@@ -1,6 +1,7 @@
 """JSON exchange formats: canonical rendering, round trips, rejection paths."""
 
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,16 @@ from polyban.io import (
     spaces_table_from_json,
     save_json,
     vec_from_json,
+    vec_to_json,
 )
+
+
+class TestRational:
+    def test_round_trip(self):
+        vec = vec_from_json(["-3/4", 5, "7"])
+        assert vec.entries == (Fraction(-3, 4), Fraction(5), Fraction(7))
+        assert vec_to_json(vec) == ["-3/4", "5", "7"]
+        assert vec_from_json(vec_to_json(vec)) == vec
 
 
 class TestVectorsAndMatrices:
