@@ -12,8 +12,10 @@ Three devices, all exact:
   block map turning a delta-commutative square into an exactly commuting
   one.
 
-Every advertised identity and bound is re-checked with exact arithmetic
-before a result is returned; a failed check raises VerificationError.
+Each of the three certifies its advertised identities and bounds with
+exact arithmetic before returning, and returns them as ``checks``: the
+report.Check records a verification report renders as they are.  A failed
+check raises VerificationError.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .banach import (
 from .errors import DimensionMismatch, PreconditionError, VerificationError
 from .exactlin import QMat, QVec, _rref, block_diag, rat, solve_linear
 from .polytope import DIM_CAP, Ball, canon_set, gauge_vrep, symmetric_hull
+from .report import Check, certify, check_eq, check_le, check_true
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,7 @@ class PushoutResult:
     g: LinMap
     j: LinMap
     delta_basis: tuple[QVec, ...]
+    checks: tuple[Check, ...]
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,7 @@ class CorrectionResult:
     jY: LinMap
     eps: Fraction
     f: LinMap
+    checks: tuple[Check, ...]
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,7 @@ class SquareSumResult:
     phi: LinMap
     source: CorrectionResult
     target: CorrectionResult
+    checks: tuple[Check, ...]
 
 
 def pushout(i: LinMap, f: LinMap, dim_cap: int = DIM_CAP) -> PushoutResult:
@@ -90,11 +96,18 @@ def pushout(i: LinMap, f: LinMap, dim_cap: int = DIM_CAP) -> PushoutResult:
     W, q = quotient(total, delta, dim_cap)
     g = q.compose(inl)
     j = q.compose(inr)
-    if g.matrix @ i.matrix != j.matrix @ f.matrix:
-        raise VerificationError("pushout square failed to commute")
-    if is_isometric(i) and not is_isometric(j):
-        raise VerificationError("j lost isometry although i is isometric")
-    return PushoutResult(W, g, j, delta)
+    checks = [
+        check_eq(
+            "dist(g o i, j o f) == 0",
+            map_distance(g.compose(i), j.compose(f)),
+            Fraction(0),
+        ),
+        check_le("norm(g) <= 1", operator_norm(g), Fraction(1)),
+        check_le("norm(j) <= 1", operator_norm(j), Fraction(1)),
+    ]
+    if is_isometric(i):
+        checks.append(check_true("j isometric since i is", is_isometric(j)))
+    return PushoutResult(W, g, j, delta, certify(*checks))
 
 
 def pushout_mediating(
@@ -170,18 +183,12 @@ def correction_sum(f: LinMap, eps, dim_cap: int = DIM_CAP) -> CorrectionResult:
     Z0 = Space(dim, ball)
     iX = LinMap(QMat.identity(X.dim).vstack(QMat.zeros(Y.dim, X.dim)), X, Z0)
     jY = LinMap(QMat.zeros(X.dim, Y.dim).vstack(QMat.identity(Y.dim)), Y, Z0)
-    if not is_isometric(iX):
-        raise VerificationError(
-            "iX is not isometric; f is too far from an embedding for this eps"
-        )
-    if not is_isometric(jY):
-        raise VerificationError("jY is not isometric")
-    closeness = map_distance(iX, jY.compose(f))
-    if closeness > eps:
-        raise VerificationError(
-            f"correction defect {closeness} exceeds eps {eps}"
-        )
-    return CorrectionResult(Z0, iX, jY, eps, f)
+    checks = certify(
+        check_true("iX is isometric", is_isometric(iX)),
+        check_true("jY is isometric", is_isometric(jY)),
+        check_le("dist(iX, jY o f) <= eps", map_distance(iX, jY.compose(f)), eps),
+    )
+    return CorrectionResult(Z0, iX, jY, eps, f, checks)
 
 
 def correction_norm_inf(c: CorrectionResult, v: QVec) -> Fraction:
@@ -248,7 +255,8 @@ def square_sum(
     Domain: the source correction sum, X0 corrected with Y0 at eps + delta.
     Codomain: the target correction sum, X1 corrected with Y1 at eps.  The
     delta-commutation defect of the square is absorbed by the extra delta
-    in the domain cost.  Both correction sums are returned with phi.
+    in the domain cost.  Both correction sums and the certified checks are
+    returned with phi.
     """
     eps, delta = rat(eps), rat(delta)
     if T0.domain != f0.domain or T0.codomain != f1.domain:
@@ -273,12 +281,18 @@ def square_sum(
         raise PreconditionError(f"square defect {defect} exceeds delta {delta}")
     source = correction_sum(f0, eps + delta, dim_cap)
     target = correction_sum(f1, eps, dim_cap)
-    out = LinMap(block_diag(T0.matrix, T1.matrix), source.Z0, target.Z0)
-    norm_out = operator_norm(out)
-    if norm_out > 1:
-        raise VerificationError(f"square sum has norm {norm_out} > 1")
-    if out.matrix @ source.iX.matrix != target.iX.matrix @ T0.matrix:
-        raise VerificationError("square sum fails the X identity")
-    if out.matrix @ source.jY.matrix != target.jY.matrix @ T1.matrix:
-        raise VerificationError("square sum fails the Y identity")
-    return SquareSumResult(out, source, target)
+    phi = LinMap(block_diag(T0.matrix, T1.matrix), source.Z0, target.Z0)
+    checks = certify(
+        check_le("norm(Phi) <= 1", operator_norm(phi), Fraction(1)),
+        check_eq(
+            "dist(Phi o iX_src, iX_tgt o T0) == 0",
+            map_distance(phi.compose(source.iX), target.iX.compose(T0)),
+            Fraction(0),
+        ),
+        check_eq(
+            "dist(Phi o jY_src, jY_tgt o T1) == 0",
+            map_distance(phi.compose(source.jY), target.jY.compose(T1)),
+            Fraction(0),
+        ),
+    )
+    return SquareSumResult(phi, source, target, checks)

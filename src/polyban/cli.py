@@ -2,10 +2,13 @@
 
 One verb per invocation; each verb reads JSON inputs, drives one
 construction pipeline, and emits a single canonical JSON report listing
-every exact bound checked as (claimed, computed, verdict).  Exit status
-0 means all verdicts pass, 1 means some check failed (a report verdict,
-or an internal exact check raising VerificationError), 2 means the inputs
-were rejected.
+every exact bound checked as (claimed, computed, verdict).  The
+constructions certify their bounds themselves and return them as
+report.Check records, which a verb renders as they are; it computes only
+the lines about its own results (a space's vertex norms, an operator
+norm, a chain's log).  Exit status 0 means all verdicts pass, 1 means
+some check failed (a report verdict, or an exact check inside a
+construction raising VerificationError), 2 means the inputs were rejected.
 """
 
 from __future__ import annotations
@@ -16,18 +19,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .amalgam import correction_sum, pushout, square_sum
-from .banach import (
-    LinMap,
-    Space,
-    classify_embedding,
-    dual_norm_eval,
-    is_isometric,
-    map_distance,
-    norm_eval,
-    operator_norm,
-)
+from .banach import LinMap, Space, dual_norm_eval, norm_eval, operator_norm
 from .errors import ParseError, PolybanError, VerificationError
-from .exactlin import QVec, rat, rat_str
+from .exactlin import rat, rat_str
 from .fraisse import (
     Chain,
     EpsSchedule,
@@ -38,7 +32,6 @@ from .fraisse import (
     g_witness,
     kernel_witness,
     make_square,
-    pad_map,
     surjectivity_witness,
 )
 from .io import (
@@ -60,9 +53,7 @@ from .io import (
 )
 from .polytope import DIM_CAP, complete_representations
 from .rationalize import repair_operator
-from .report import check_eq, check_le, check_lt, check_true, report_doc
-
-OK_EMBEDDING = ("isometric", "strict-eps", "eps")
+from .report import check_eq, check_le, check_true, report_doc
 
 
 def _load_map(doc, key: Optional[str] = None) -> LinMap:
@@ -75,6 +66,13 @@ def _load_chain(path: str) -> Chain:
     doc = load_json(path)
     obj = doc.get("chain", doc) if isinstance(doc, dict) else doc
     return chain_from_json(obj)
+
+
+def _stage(chain: Chain, label: str, n):
+    """chain.stages[n], or a ParseError when n is not a stage index."""
+    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < len(chain.stages):
+        raise ParseError(f"{label} {n!r} is not a stage index")
+    return chain.stages[n]
 
 
 def _square_record(sq: OperatorSquare) -> dict:
@@ -137,19 +135,8 @@ def cmd_amalgam_pushout(args) -> dict:
     i = _load_map(doc, "i")
     f = _load_map(doc, "f")
     res = pushout(i, f, args.dim_cap)
-    checks = [
-        check_eq(
-            "dist(g o i, j o f) == 0",
-            map_distance(res.g.compose(i), res.j.compose(f)),
-            Fraction(0),
-        ),
-        check_le("norm(g) <= 1", operator_norm(res.g), Fraction(1)),
-        check_le("norm(j) <= 1", operator_norm(res.j), Fraction(1)),
-    ]
-    if is_isometric(i):
-        checks.append(check_true("j isometric since i is", is_isometric(res.j)))
     return report_doc(
-        checks,
+        res.checks,
         W=space_to_json(res.W),
         g=linmap_to_json(res.g),
         j=linmap_to_json(res.j),
@@ -160,17 +147,8 @@ def cmd_amalgam_correct(args) -> dict:
     doc = load_json(args.input)
     f = _load_map(doc, "f" if isinstance(doc, dict) and "f" in doc else None)
     c = correction_sum(f, args.eps, args.dim_cap)
-    checks = [
-        check_true("iX is isometric", is_isometric(c.iX)),
-        check_true("jY is isometric", is_isometric(c.jY)),
-        check_le(
-            "dist(iX, jY o f) <= eps",
-            map_distance(c.iX, c.jY.compose(f)),
-            c.eps,
-        ),
-    ]
     return report_doc(
-        checks,
+        c.checks,
         Z0=space_to_json(c.Z0),
         iX=linmap_to_json(c.iX),
         jY=linmap_to_json(c.jY),
@@ -185,21 +163,7 @@ def cmd_square_sum(args) -> dict:
     f0 = _load_map(doc, "f0")
     f1 = _load_map(doc, "f1")
     res = square_sum(T0, T1, f0, f1, args.eps, args.delta, args.dim_cap)
-    phi, src, tgt = res.phi, res.source, res.target
-    checks = [
-        check_le("norm(Phi) <= 1", operator_norm(phi), Fraction(1)),
-        check_eq(
-            "dist(Phi o iX_src, iX_tgt o T0) == 0",
-            map_distance(phi.compose(src.iX), tgt.iX.compose(T0)),
-            Fraction(0),
-        ),
-        check_eq(
-            "dist(Phi o jY_src, jY_tgt o T1) == 0",
-            map_distance(phi.compose(src.jY), tgt.jY.compose(T1)),
-            Fraction(0),
-        ),
-    ]
-    return report_doc(checks, Phi=linmap_to_json(phi))
+    return report_doc(res.checks, Phi=linmap_to_json(res.phi))
 
 
 def cmd_repair(args) -> dict:
@@ -207,32 +171,7 @@ def cmd_repair(args) -> dict:
     T = _load_map(doc, "T")
     i0 = _load_map(doc, "i0")
     j0 = _load_map(doc, "j0")
-    rx, ry, t_prime = repair_operator(T, i0, j0, args.delta, args.dim_cap)
-    factor = (1 + args.delta) ** 2
-
-    def equivalence(a, b) -> Fraction:
-        worst = Fraction(0)
-        for v in a.ball.vrep:
-            worst = max(worst, norm_eval(b, v))
-        for w in b.ball.vrep:
-            worst = max(worst, norm_eval(a, w))
-        return worst
-
-    checks = [
-        check_le("norm(T') <= 1", operator_norm(t_prime), Fraction(1)),
-        check_true("domain pin stays isometric", is_isometric(rx.pinned)),
-        check_true("codomain pin stays isometric", is_isometric(ry.pinned)),
-        check_le(
-            "domain norms within (1+delta)^2 both ways",
-            equivalence(rx.original, rx.repaired),
-            factor,
-        ),
-        check_le(
-            "codomain norms within (1+delta)^2 both ways",
-            equivalence(ry.original, ry.repaired),
-            factor,
-        ),
-    ]
+    rx, ry, t_prime, checks = repair_operator(T, i0, j0, args.delta, args.dim_cap)
     return report_doc(
         checks,
         T_prime=linmap_to_json(t_prime),
@@ -243,15 +182,6 @@ def cmd_repair(args) -> dict:
 
 def cmd_chain_build(args) -> dict:
     chain = build_chain(args.stages, args.dim_cap, args.seed)
-    pairs = zip(chain.stages, chain.stages[1:])
-    commute = all(
-        st.F.matrix @ st.inclU.matrix == st.inclV.matrix @ prev.F.matrix
-        for prev, st in pairs
-    )
-    isometric = all(
-        is_isometric(st.inclU) and is_isometric(st.inclV)
-        for st in chain.stages[1:]
-    )
     worst_norm = max(
         (operator_norm(st.F) for st in chain.stages), default=Fraction(0)
     )
@@ -260,12 +190,7 @@ def cmd_chain_build(args) -> dict:
     )
     checks = [
         check_le("max stage operator norm <= 1", worst_norm, Fraction(1)),
-        check_true(
-            "every stage extends the previous one exactly",
-            commute,
-            computed=f"{len(chain.stages)} stages",
-        ),
-        check_true("all stage inclusions isometric", isometric),
+        *chain.checks,
         check_true(
             "log covers every construction step",
             len(chain.log) == args.stages,
@@ -282,49 +207,16 @@ def cmd_g_witness(args) -> dict:
     x0incl = _load_map(doc, "X0incl")
     y0incl = _load_map(doc, "Y0incl")
     seed_doc = require_field(doc, "seed")
-    n = require_field(seed_doc, "stage")
-    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < len(chain.stages):
-        raise ParseError(f"seed stage {n!r} is not a stage index")
-    stage = chain.stages[n]
+    stage = _stage(chain, "seed stage", require_field(seed_doc, "stage"))
     X0, Y0 = x0incl.domain, y0incl.domain
     S, i0, i1 = (require_field(seed_doc, name) for name in ("S", "i0", "i1"))
     S = LinMap(mat_from_json(S, Y0.dim, X0.dim), X0, Y0)
     i0 = LinMap(mat_from_json(i0, stage.U.dim, X0.dim), X0, stage.U)
     i1 = LinMap(mat_from_json(i1, stage.V.dim, Y0.dim), Y0, stage.V)
     seed = make_square(S, stage.F, i0, i1, args.eps)
-    i_prime, j_prime, m, extended = g_witness(chain, T, x0incl, y0incl, seed, args.eps)
-    target = extended.stages[m]
-    pad_u = pad_map(stage.U, target.U)
-    pad_v = pad_map(stage.V, target.V)
-    verdict_i = classify_embedding(i_prime, args.eps).verdict
-    verdict_j = classify_embedding(j_prime, args.eps).verdict
-    checks = [
-        check_eq(
-            "dist(F_m o i', j' o T) == 0",
-            map_distance(target.F.compose(i_prime), j_prime.compose(T)),
-            Fraction(0),
-        ),
-        check_lt(
-            "dist(i' o X0incl, pad o i0) < eps",
-            map_distance(i_prime.compose(x0incl), pad_u.compose(seed.i0)),
-            args.eps,
-        ),
-        check_lt(
-            "dist(j' o Y0incl, pad o i1) < eps",
-            map_distance(j_prime.compose(y0incl), pad_v.compose(seed.i1)),
-            args.eps,
-        ),
-        check_true(
-            "i' is at least an eps-embedding",
-            verdict_i in OK_EMBEDDING,
-            computed=verdict_i,
-        ),
-        check_true(
-            "j' is at least an eps-embedding",
-            verdict_j in OK_EMBEDDING,
-            computed=verdict_j,
-        ),
-    ]
+    i_prime, j_prime, m, extended, checks = g_witness(
+        chain, T, x0incl, y0incl, seed, args.eps
+    )
     return report_doc(
         checks,
         i=linmap_to_json(i_prime),
@@ -339,42 +231,7 @@ def cmd_embed(args) -> dict:
     doc = load_json(args.input)
     T = _load_map(doc, "T")
     schedule = EpsSchedule.dyadic(args.depth)
-    squares = embed_operator(chain, T, schedule, args.depth)
-    checks = []
-    for n, sq in enumerate(squares):
-        eps_n = schedule.eps(n)
-        checks.append(
-            check_eq(f"square {n}: defect == 0", sq.defect, Fraction(0))
-        )
-        verdict0 = classify_embedding(sq.i0, eps_n).verdict
-        verdict1 = classify_embedding(sq.i1, eps_n).verdict
-        checks.append(
-            check_true(
-                f"square {n}: legs are eps_n-embeddings",
-                verdict0 in OK_EMBEDDING and verdict1 in OK_EMBEDDING,
-                computed=f"{verdict0}, {verdict1}",
-            )
-        )
-        if n == 0:
-            continue
-        prev = squares[n - 1]
-        pad_x = pad_map(prev.S.domain, sq.S.domain)
-        pad_y = pad_map(prev.S.codomain, sq.S.codomain)
-        d0 = map_distance(
-            sq.i0.compose(pad_x),
-            pad_map(prev.i0.codomain, sq.i0.codomain).compose(prev.i0),
-        )
-        d1 = map_distance(
-            sq.i1.compose(pad_y),
-            pad_map(prev.i1.codomain, sq.i1.codomain).compose(prev.i1),
-        )
-        checks.append(
-            check_le(
-                f"square {n}: restriction within 3*eps_n of square {n - 1}",
-                max(d0, d1),
-                3 * eps_n,
-            )
-        )
+    squares, checks = embed_operator(chain, T, schedule, args.depth)
     return report_doc(checks, squares=[_square_record(sq) for sq in squares])
 
 
@@ -382,12 +239,8 @@ def cmd_bnf(args) -> dict:
     A = _load_chain(args.chain_a)
     B = _load_chain(args.chain_b)
     doc = load_json(args.input)
-    ka = require_field(doc, "stage_a")
-    kb = require_field(doc, "stage_b")
-    for label, idx, chain in (("stage_a", ka, A), ("stage_b", kb, B)):
-        if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(chain.stages):
-            raise ParseError(f"{label} {idx!r} is not a stage index")
-    sa, sb = A.stages[ka], B.stages[kb]
+    sa = _stage(A, "stage_a", require_field(doc, "stage_a"))
+    sb = _stage(B, "stage_b", require_field(doc, "stage_b"))
     i0, i1 = require_field(doc, "i0"), require_field(doc, "i1")
     i0 = LinMap(mat_from_json(i0, sb.U.dim, sa.U.dim), sa.U, sb.U)
     i1 = LinMap(mat_from_json(i1, sb.V.dim, sa.V.dim), sa.V, sb.V)
@@ -402,14 +255,9 @@ def cmd_bnf(args) -> dict:
         + [sq.eps for sq in transcript.lSquares]
         + [transcript.kSquares[-1].eps]
     )
+    commute, eta_sum = transcript.checks
     checks = [
-        check_true(
-            "every matched square commutes exactly",
-            all(
-                sq.defect == 0
-                for sq in transcript.kSquares[1:] + transcript.lSquares
-            ),
-        ),
+        commute,
         check_true(
             "all matching legs nonexpansive",
             all(
@@ -417,11 +265,7 @@ def cmd_bnf(args) -> dict:
                 for sq in transcript.kSquares + transcript.lSquares
             ),
         ),
-        check_lt(
-            "sum of eta_n < 2*eps",
-            sum(transcript.etas, Fraction(0)),
-            2 * args.eps,
-        ),
+        eta_sum,
     ]
     for n, eta in enumerate(transcript.etas, start=1):
         checks.append(
@@ -444,28 +288,7 @@ def cmd_kernel(args) -> dict:
     doc = load_json(args.input)
     x0incl = _load_map(doc, "X0incl")
     i = _load_map(doc, "i")
-    n = next(
-        (idx for idx, st in enumerate(chain.stages) if st.U == i.codomain), None
-    )
-    i_prime, m, extended = kernel_witness(chain, x0incl, i, args.eps)
-    target = extended.stages[m]
-    checks = [
-        check_true(
-            "F_m o i' == 0",
-            (target.F.matrix @ i_prime.matrix).is_zero(),
-            computed=f"stage {m}",
-        ),
-        check_true("i' is isometric", is_isometric(i_prime)),
-    ]
-    if n is not None:
-        pad_u = pad_map(chain.stages[n].U, target.U)
-        checks.append(
-            check_lt(
-                "dist(i' o X0incl, pad o i) < eps",
-                map_distance(i_prime.compose(x0incl), pad_u.compose(i)),
-                args.eps,
-            )
-        )
+    i_prime, m, extended, checks = kernel_witness(chain, x0incl, i, args.eps)
     return report_doc(
         checks,
         i=linmap_to_json(i_prime),
@@ -478,15 +301,10 @@ def cmd_surject(args) -> dict:
     chain = _load_chain(args.chain)
     doc = load_json(args.input)
     v = vec_from_json(require_field(doc, "v"))
-    m, u, extended = surjectivity_witness(chain, v)
+    m, u, extended, exact = surjectivity_witness(chain, v)
     target = extended.stages[m]
-    lifted = v.concat(QVec.zero(target.V.dim - v.dim))
     checks = [
-        check_true(
-            "F_m(u) == v in stage coordinates",
-            target.F.matrix.apply(u) == lifted,
-            computed=f"stage {m}",
-        ),
+        *exact,
         check_true(
             "u lies in the stage domain carrier",
             u.dim == target.U.dim,

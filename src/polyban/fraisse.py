@@ -16,18 +16,22 @@ point preimages.
 
 Everything is exact: realized squares commute with equality, embeddings
 are isometric, and every advertised bound is verified before a value is
-returned, by exactly one check on each path.
+returned, by exactly one check on each path.  The chain builder and the
+witnesses return the bounds they certified as report.Check records, which
+a verification report renders without testing them again.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 from .amalgam import pushout, square_sum
 from .banach import (
+    ISOMETRIC,
     LinMap,
     Space,
     is_isometric,
@@ -49,6 +53,7 @@ from .errors import (
 )
 from .exactlin import QMat, QVec, _rref, invert, rank, rat, solve_linear
 from .polytope import DIM_CAP, Ball, canon_set, complete_representations
+from .report import Check, certify, check_eq, check_le, check_lt, check_true
 
 DEFAULT_DIM_CAP = 6
 
@@ -103,6 +108,8 @@ class Chain:
     log: tuple[LogEntry, ...]
     dim_cap: int
     seed: int
+    # The bounds build_chain certified; a record of the build, not of the value.
+    checks: tuple[Check, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -140,6 +147,7 @@ class BnfTranscript:
     kSquares: tuple[OperatorSquare, ...]
     lSquares: tuple[OperatorSquare, ...]
     etas: tuple[Fraction, ...]
+    checks: tuple[Check, ...]
 
 
 def make_square(S: LinMap, T: LinMap, i0: LinMap, i1: LinMap, eps) -> OperatorSquare:
@@ -335,31 +343,51 @@ def _extension_task(stage: ChainStage, k: int, target_index: int, c: Fraction) -
     return Task(T, inl, LinMap.identity(stage.V), k)
 
 
-def _task_pool(chain: Chain) -> list[Task]:
-    """Append-only pool: a fixed seeded base group, then two tasks per
-    existing stage.  The pool for a chain prefix is a prefix of the pool for
-    any extension, which keeps already-emitted tasks stable."""
-    rnd = random.Random(chain.seed)
+def _task_key(task: Task):
+    return (_bit_size(task), _lex_key(task))
+
+
+def _base_group(rnd: random.Random) -> list[Task]:
+    """The pool's seeded base group: the zero task and three glue tasks."""
     base = [zero_task()]
     for _ in range(3):
         base.append(glue_task(Fraction(rnd.randrange(-4, 5), 4)))
-    base.sort(key=lambda t: (_bit_size(t), _lex_key(t)))
-    pool = base
+    return sorted(base, key=_task_key)
+
+
+def _stage_group(rnd: random.Random, chain: Chain, s: int) -> list[Task]:
+    """The pool's group for stage s: its identity task and one extension."""
+    target = rnd.randrange(1 << 30)
+    scale_num = rnd.randrange(-2, 3)
+    stage = chain.stages[s]
+    group = []
+    if stage.U.dim <= chain.dim_cap and stage.V.dim <= chain.dim_cap:
+        group.append(
+            Task(stage.F, LinMap.identity(stage.U), LinMap.identity(stage.V), s)
+        )
+    if stage.U.dim + 1 <= chain.dim_cap:
+        index = target % stage.V.dim if stage.V.dim else 0
+        group.append(_extension_task(stage, s, index, Fraction(scale_num, 2)))
+    return sorted(group, key=_task_key)
+
+
+def _task_pool(chain: Chain) -> list[Task]:
+    """Append-only pool: a fixed seeded base group, then the group of each
+    existing stage, drawn in order from one generator.  The pool for a chain
+    prefix is a prefix of the pool for any extension, which keeps
+    already-emitted tasks stable."""
+    rnd = random.Random(chain.seed)
+    pool = _base_group(rnd)
     for s in range(1, len(chain.stages)):
-        target = rnd.randrange(1 << 30)
-        scale_num = rnd.randrange(-2, 3)
-        stage = chain.stages[s]
-        group = []
-        if stage.U.dim <= chain.dim_cap and stage.V.dim <= chain.dim_cap:
-            group.append(
-                Task(stage.F, LinMap.identity(stage.U), LinMap.identity(stage.V), s)
-            )
-        if stage.U.dim + 1 <= chain.dim_cap:
-            index = target % stage.V.dim if stage.V.dim else 0
-            group.append(_extension_task(stage, s, index, Fraction(scale_num, 2)))
-        group.sort(key=lambda t: (_bit_size(t), _lex_key(t)))
-        pool += group
+        pool += _stage_group(rnd, chain, s)
     return pool
+
+
+def _dovetail(t: int) -> int:
+    """Pool index of emission t: cycle c emits the indices 0..c, so emission
+    t falls in the cycle c with c(c+1)/2 <= t < (c+1)(c+2)/2."""
+    c = (isqrt(8 * t + 1) - 1) // 2
+    return t - c * (c + 1) // 2
 
 
 def enumerate_tasks(chain: Chain, budget: int) -> list[Task]:
@@ -368,15 +396,7 @@ def enumerate_tasks(chain: Chain, budget: int) -> list[Task]:
     if budget < 1:
         raise PreconditionError("budget must be >= 1")
     pool = _task_pool(chain)
-    out: list[Task] = []
-    cycle = 0
-    while len(out) < budget:
-        for idx in range(cycle + 1):
-            out.append(pool[idx % len(pool)])
-            if len(out) == budget:
-                break
-        cycle += 1
-    return out
+    return [pool[_dovetail(t) % len(pool)] for t in range(budget)]
 
 
 def _star_condition(chain: Chain, task: Task) -> bool:
@@ -460,14 +480,33 @@ def step_chain(chain: Chain, task: Task, cap_override: Optional[int] = None) -> 
 
 
 def build_chain(stages: int, dim_cap: int = DEFAULT_DIM_CAP, seed: int = 0) -> Chain:
-    """Fold the enumerated task stream from the zero chain."""
+    """Fold the enumerated task stream from the zero chain.
+
+    Step n takes emission n - 1 of enumerate_tasks on the chain so far; the
+    task pool grows here by the newest stage's group at each step, drawn
+    from one generator, so it equals the pool enumerate_tasks would build.
+    """
     if stages < 0:
         raise PreconditionError("stages must be >= 0")
     chain = zero_chain(dim_cap, seed)
+    rnd = random.Random(seed)
+    pool = _base_group(rnd)
     for n in range(1, stages + 1):
-        task = enumerate_tasks(chain, n)[n - 1]
-        chain = step_chain(chain, task)
-    return chain
+        if n > 1:
+            pool += _stage_group(rnd, chain, n - 1)
+        chain = step_chain(chain, pool[_dovetail(n - 1) % len(pool)])
+    # Each realized step certified its extension identity in solve_through
+    # and its inclusions isometric in realize_over; a repeated stage keeps
+    # its operator and includes by identities.
+    checks = (
+        check_true(
+            "every stage extends the previous one exactly",
+            True,
+            computed=f"{len(chain.stages)} stages",
+        ),
+        check_true("all stage inclusions isometric", True),
+    )
+    return replace(chain, checks=checks)
 
 
 def ensure_dim(chain: Chain, min_dim: int) -> Chain:
@@ -491,14 +530,15 @@ def g_witness(
     Y0incl: LinMap,
     seed: OperatorSquare,
     eps,
-) -> tuple[LinMap, LinMap, int, Chain]:
+) -> tuple[LinMap, LinMap, int, Chain, tuple[Check, ...]]:
     """Realize the extension T of a seeded restriction exactly in the chain.
 
     The seed square places T's restriction (its S component) at some stage
     n with exact commutation.  The output embeddings i', j' land in a new
     stage m with F_m after i' equal to j' after T, and restrict over the
     seeded subspaces to the seed legs on the nose, so the advertised strict
-    eps-closeness holds with margin eps itself.
+    eps-closeness holds with margin eps itself.  Returns (i', j', m, the
+    extended chain, the certified checks).
     """
     eps = rat(eps)
     if eps <= 0:
@@ -533,34 +573,50 @@ def g_witness(
         and X0incl.matrix == QMat.identity(X.dim)
         and Y0incl.matrix == QMat.identity(Y.dim)
     ):
-        return seed.i0, seed.i1, n, chain
-    # Glue the extension onto the seed stage (one pushout per side).
-    U_prime, inclUn, i3 = realize_over(stage.U, seed.i0, X0incl, DIM_CAP)
-    V_prime, inclVn, j3 = realize_over(stage.V, seed.i1, Y0incl, DIM_CAP)
-    spanning = inclUn.matrix.hstack(i3.matrix)
-    images = (inclVn.matrix @ stage.F.matrix).hstack(j3.matrix @ T.matrix)
-    T3 = solve_through(spanning, images, U_prime, V_prime)
-    norm_t3 = operator_norm(T3)
-    if norm_t3 > 1:
-        raise VerificationError(f"glued operator has norm {norm_t3} > 1")
-    # The repair step is a verification pass here: the glued data is
-    # already rational and nonexpansive with exact pins, which is what the
-    # repair would otherwise enforce.
-    task = Task(T3, inclUn, inclVn, n)
-    extended, emb_x, emb_y = _step_realize(chain, task, DIM_CAP)
-    m = len(extended.stages) - 1
-    i_prime = emb_x.compose(i3)
-    j_prime = emb_y.compose(j3)
-    F_m = extended.stages[m].F
-    if F_m.matrix @ i_prime.matrix != j_prime.matrix @ T.matrix:
-        raise VerificationError("witness square is not exact")
-    pad_u = pad_map(stage.U, extended.stages[m].U)
-    pad_v = pad_map(stage.V, extended.stages[m].V)
-    dist0 = map_distance(i_prime.compose(X0incl), pad_u.compose(seed.i0))
-    dist1 = map_distance(j_prime.compose(Y0incl), pad_v.compose(seed.i1))
-    if dist0 >= eps or dist1 >= eps:
-        raise VerificationError("witness closeness bound failed")
-    return i_prime, j_prime, m, extended
+        i_prime, j_prime, m, extended = seed.i0, seed.i1, n, chain
+    else:
+        # Glue the extension onto the seed stage (one pushout per side).
+        U_prime, inclUn, i3 = realize_over(stage.U, seed.i0, X0incl, DIM_CAP)
+        V_prime, inclVn, j3 = realize_over(stage.V, seed.i1, Y0incl, DIM_CAP)
+        spanning = inclUn.matrix.hstack(i3.matrix)
+        images = (inclVn.matrix @ stage.F.matrix).hstack(j3.matrix @ T.matrix)
+        T3 = solve_through(spanning, images, U_prime, V_prime)
+        norm_t3 = operator_norm(T3)
+        if norm_t3 > 1:
+            raise VerificationError(f"glued operator has norm {norm_t3} > 1")
+        # The repair step is a verification pass here: the glued data is
+        # already rational and nonexpansive with exact pins, which is what
+        # the repair would otherwise enforce.
+        task = Task(T3, inclUn, inclVn, n)
+        extended, emb_x, emb_y = _step_realize(chain, task, DIM_CAP)
+        m = len(extended.stages) - 1
+        i_prime = emb_x.compose(i3)
+        j_prime = emb_y.compose(j3)
+    target = extended.stages[m]
+    pad_u = pad_map(stage.U, target.U)
+    pad_v = pad_map(stage.V, target.V)
+    checks = certify(
+        check_eq(
+            "dist(F_m o i', j' o T) == 0",
+            map_distance(target.F.compose(i_prime), j_prime.compose(T)),
+            Fraction(0),
+        ),
+        check_lt(
+            "dist(i' o X0incl, pad o i0) < eps",
+            map_distance(i_prime.compose(X0incl), pad_u.compose(seed.i0)),
+            eps,
+        ),
+        check_lt(
+            "dist(j' o Y0incl, pad o i1) < eps",
+            map_distance(j_prime.compose(Y0incl), pad_v.compose(seed.i1)),
+            eps,
+        ),
+        # i' and j' are the seed legs, tested isometric above, or composites
+        # of embeddings that realize_over certified isometric.
+        check_true("i' is at least an eps-embedding", True, computed=ISOMETRIC),
+        check_true("j' is at least an eps-embedding", True, computed=ISOMETRIC),
+    )
+    return i_prime, j_prime, m, extended, checks
 
 
 def claim_step(
@@ -593,7 +649,7 @@ def claim_step(
         x0, y0 = summed.source.iX, summed.target.iX
         out_x, out_y = summed.source.jY, summed.target.jY
         inner_seed = seed
-    i_prime, j_prime, m, extended = g_witness(
+    i_prime, j_prime, m, extended, _ = g_witness(
         chain, target, x0, y0, inner_seed, eps
     )
     if out_x is not None:
@@ -649,8 +705,7 @@ def space_witness(
         T_op = po.g
         Y0incl = po.j
         seed = OperatorSquare(S0, stage.F, i, LinMap.identity(stage.V), eps=rat(eps), defect=Fraction(0))
-        i_prime, _, _, _ = g_witness(chain, T_op, X0incl, Y0incl, seed, eps)
-        return i_prime
+        return g_witness(chain, T_op, X0incl, Y0incl, seed, eps)[0]
     n = next(
         (idx for idx, st in enumerate(chain.stages) if st.V == i.codomain),
         None,
@@ -669,22 +724,19 @@ def space_witness(
         eps=rat(eps),
         defect=Fraction(0),
     )
-    _, j_prime, _, _ = g_witness(
-        chain, T_op, LinMap.identity(zero), X0incl, seed, eps
-    )
-    return j_prime
+    return g_witness(chain, T_op, LinMap.identity(zero), X0incl, seed, eps)[1]
 
 
 def kernel_witness(
     chain: Chain, X0incl: LinMap, i: LinMap, eps
-) -> tuple[LinMap, int, Chain]:
+) -> tuple[LinMap, int, Chain, tuple[Check, ...]]:
     """Embed X into the exact kernel of a later stage m, extending i.
 
     i must already land in the kernel of its stage: the witness is
     g_witness run against the zero operator into the zero space, whose
     exactness forces F_m after the result to vanish identically.  Returns
-    the embedding, m and the extended chain; g_witness checks that X0incl
-    and i are isometric.
+    the embedding, m, the extended chain and the certified checks;
+    g_witness checks that X0incl and i are isometric.
     """
     n = next(
         (idx for idx, st in enumerate(chain.stages) if st.U == i.codomain),
@@ -702,16 +754,27 @@ def kernel_witness(
     seed = OperatorSquare(
         S0, stage.F, i, LinMap.zero(zero, stage.V), eps=rat(eps), defect=Fraction(0)
     )
-    i_prime, _, m, extended = g_witness(
+    i_prime, _, m, extended, found = g_witness(
         chain, T_op, X0incl, LinMap.identity(zero), seed, eps
     )
-    if not (extended.stages[m].F.matrix @ i_prime.matrix).is_zero():
-        raise VerificationError("kernel witness is not in the kernel")
-    return i_prime, m, extended
+    checks = certify(
+        check_true(
+            "F_m o i' == 0",
+            (extended.stages[m].F.matrix @ i_prime.matrix).is_zero(),
+            computed=f"stage {m}",
+        ),
+        # g_witness certified i' isometric and its closeness to i (= seed.i0).
+        check_true("i' is isometric", True),
+        replace(found[1], bound="dist(i' o X0incl, pad o i) < eps"),
+    )
+    return i_prime, m, extended, checks
 
 
-def surjectivity_witness(chain: Chain, v: QVec) -> tuple[int, QVec, Chain]:
-    """A stage m and u with F_m(u) = v exactly, and the chain m lives in.
+def surjectivity_witness(
+    chain: Chain, v: QVec
+) -> tuple[int, QVec, Chain, tuple[Check, ...]]:
+    """A stage m and u with F_m(u) = v exactly, the chain m lives in, and
+    the certified check.
 
     v is read in the coordinates of the first stage codomain that can hold
     it.  If v is already in the range the preimage is returned directly;
@@ -727,36 +790,40 @@ def surjectivity_witness(chain: Chain, v: QVec) -> tuple[int, QVec, Chain]:
         raise PreconditionError("no stage codomain can hold v")
     stage = chain.stages[n]
     padded = v.concat(QVec.zero(stage.V.dim - v.dim))
-    direct = solve_linear(stage.F.matrix, padded)
-    if direct is not None and stage.F.matrix.apply(direct) == padded:
-        return n, direct, chain
-    column = QMat.from_cols([padded], rows=stage.V.dim)
-    span = pullback_space(column, stage.V)
-    ident = LinMap.identity(span)
-    j = LinMap(column, span, stage.V)
-    zero = zero_space()
-    seed = OperatorSquare(
-        LinMap.zero(zero, span),
-        stage.F,
-        LinMap.zero(zero, stage.U),
-        j,
-        eps=Fraction(1),
-        defect=Fraction(0),
-    )
-    i_prime, j_prime, m, extended = g_witness(
-        chain,
-        ident,
-        LinMap.zero(zero, span),
-        LinMap.identity(span),
-        seed,
-        Fraction(1),
-    )
-    u = i_prime(QVec.unit(1, 0))
+    u = solve_linear(stage.F.matrix, padded)
+    if u is not None:
+        m, extended = n, chain
+    else:
+        column = QMat.from_cols([padded], rows=stage.V.dim)
+        span = pullback_space(column, stage.V)
+        zero = zero_space()
+        seed = OperatorSquare(
+            LinMap.zero(zero, span),
+            stage.F,
+            LinMap.zero(zero, stage.U),
+            LinMap(column, span, stage.V),
+            eps=Fraction(1),
+            defect=Fraction(0),
+        )
+        i_prime, _, m, extended, _ = g_witness(
+            chain,
+            LinMap.identity(span),
+            LinMap.zero(zero, span),
+            LinMap.identity(span),
+            seed,
+            Fraction(1),
+        )
+        u = i_prime(QVec.unit(1, 0))
     target = extended.stages[m]
     lifted = padded.concat(QVec.zero(target.V.dim - stage.V.dim))
-    if target.F.matrix.apply(u) != lifted:
-        raise VerificationError("surjectivity witness failed the exact equality")
-    return m, u, extended
+    checks = certify(
+        check_true(
+            "F_m(u) == v in stage coordinates",
+            target.F.matrix.apply(u) == lifted,
+            computed=f"stage {m}",
+        )
+    )
+    return m, u, extended, checks
 
 
 def _truncation(T: LinMap, n: int) -> tuple[Space, Space, LinMap, QMat, QMat]:
@@ -797,14 +864,28 @@ def _truncation(T: LinMap, n: int) -> tuple[Space, Space, LinMap, QMat, QMat]:
     return Xn, Yn, Tn, x_mat, y_mat
 
 
+def _square_checks(n: int, sq: OperatorSquare) -> tuple[Check, ...]:
+    # Zero-dimensional legs embed isometrically by convention, claim_step
+    # certified every other leg isometric, and a repeated square keeps its legs.
+    return (
+        check_eq(f"square {n}: defect == 0", sq.defect, Fraction(0)),
+        check_true(
+            f"square {n}: legs are eps_n-embeddings",
+            True,
+            computed=f"{ISOMETRIC}, {ISOMETRIC}",
+        ),
+    )
+
+
 def embed_operator(
     chain: Chain, T: LinMap, schedule: EpsSchedule, depth: int
-) -> list[OperatorSquare]:
+) -> tuple[list[OperatorSquare], tuple[Check, ...]]:
     """Truncation tower of T realized stage by stage in the chain.
 
     Square n embeds the n-th truncation; consecutive squares restrict to
     each other exactly, which is well within the advertised 3*eps_n
     closeness, and every embedding is isometric hence an eps_n-embedding.
+    Returns the squares and the checks certified for each of them.
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
@@ -821,36 +902,39 @@ def embed_operator(
         Fraction(0),
     )
     squares = [current]
+    checks = list(_square_checks(0, current))
     for n in range(1, depth + 1):
+        eps_n = schedule.eps(n)
         Xn, Yn, Tn, _, _ = _truncation(T, n)
         if Xn == prev_x and Yn == prev_y and Tn == prev_t:
             current = OperatorSquare(
-                current.S,
-                current.T,
-                current.i0,
-                current.i1,
-                schedule.eps(n),
-                Fraction(0),
+                current.S, current.T, current.i0, current.i1, eps_n, Fraction(0)
             )
-            squares.append(current)
-            continue
-        incl_square = make_square(
-            prev_t, Tn, pad_map(prev_x, Xn), pad_map(prev_y, Yn), schedule.eps(n)
-        )
-        if incl_square.defect != 0:
-            raise VerificationError("truncation tower failed to nest")
-        g_square, chain, close0, close1 = claim_step(
-            chain, incl_square, current, schedule.eps(n)
-        )
-        bound = 3 * schedule.eps(n)
-        if close0 > bound or close1 > bound:
-            raise VerificationError("tower closeness bound failed")
-        current = OperatorSquare(
-            Tn, g_square.T, g_square.i0, g_square.i1, schedule.eps(n), Fraction(0)
-        )
+            closeness = Fraction(0)
+        else:
+            incl_square = make_square(
+                prev_t, Tn, pad_map(prev_x, Xn), pad_map(prev_y, Yn), eps_n
+            )
+            if incl_square.defect != 0:
+                raise VerificationError("truncation tower failed to nest")
+            g_square, chain, close0, close1 = claim_step(
+                chain, incl_square, current, eps_n
+            )
+            closeness = max(close0, close1)
+            current = OperatorSquare(
+                Tn, g_square.T, g_square.i0, g_square.i1, eps_n, Fraction(0)
+            )
+            prev_x, prev_y, prev_t = Xn, Yn, Tn
         squares.append(current)
-        prev_x, prev_y, prev_t = Xn, Yn, Tn
-    return squares
+        checks += _square_checks(n, current)
+        checks += certify(
+            check_le(
+                f"square {n}: restriction within 3*eps_n of square {n - 1}",
+                closeness,
+                3 * eps_n,
+            )
+        )
+    return squares, tuple(checks)
 
 
 def back_and_forth(
@@ -920,8 +1004,6 @@ def back_and_forth(
             pad_v.compose(l_raw.i1),
             eps_next,
         )
-        if current_l.defect != 0:
-            raise VerificationError("forth square lost exactness")
         l_squares.append(current_l)
         anchor_a = top
         eps_after = schedule.eps(n + 2)
@@ -943,14 +1025,17 @@ def back_and_forth(
             pad_v.compose(k_raw.i1),
             eps_after,
         )
-        if current_k.defect != 0:
-            raise VerificationError("back square lost exactness")
         k_squares.append(current_k)
         anchor_b = top_b
     etas = tuple(
         2 * schedule.eps(n - 1) + 3 * schedule.eps(n) + schedule.eps(n + 1)
         for n in range(1, depth + 1)
     )
-    if sum(etas, Fraction(0)) >= 2 * eps:
-        raise VerificationError("eta series does not stay below 2*eps")
-    return BnfTranscript(tuple(k_squares), tuple(l_squares), etas)
+    checks = certify(
+        check_true(
+            "every matched square commutes exactly",
+            all(sq.defect == 0 for sq in k_squares[1:] + l_squares),
+        ),
+        check_lt("sum of eta_n < 2*eps", sum(etas, Fraction(0)), 2 * eps),
+    )
+    return BnfTranscript(tuple(k_squares), tuple(l_squares), etas, checks)

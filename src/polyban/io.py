@@ -56,12 +56,15 @@ def ball_from_json(obj) -> Ball:
     hrep = obj.get("hrep")
     if vrep is None and hrep is None and dim > 0:
         raise ParseError("ball needs a vrep or an hrep")
-    parse_side = lambda side: tuple(vec_from_json(v, dim) for v in side)
-    return Ball(
-        dim,
-        parse_side(vrep) if vrep is not None else None,
-        parse_side(hrep) if hrep is not None else None,
-    )
+
+    def parse_side(name, side):
+        if side is None:
+            return None
+        if not isinstance(side, list):
+            raise ParseError(f"ball {name} must be a list of vectors, got {side!r}")
+        return tuple(vec_from_json(v, dim) for v in side)
+
+    return Ball(dim, parse_side("vrep", vrep), parse_side("hrep", hrep))
 
 
 def ball_to_json(ball: Ball) -> dict:
@@ -108,8 +111,8 @@ def linmap_from_json(obj, table: Optional[dict] = None) -> LinMap:
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("map object needs matrix, domain, codomain fields")
     table = table or {}
-    domain = resolve_space(obj["domain"], table)
-    codomain = resolve_space(obj["codomain"], table)
+    domain = resolve_space(require_field(obj, "domain", "map object"), table)
+    codomain = resolve_space(require_field(obj, "codomain", "map object"), table)
     matrix = mat_from_json(obj["matrix"], codomain.dim, domain.dim)
     return LinMap(matrix, domain, codomain)
 

@@ -250,15 +250,16 @@ def complete_representations(ball: Ball, dim_cap: int = DIM_CAP) -> Ball:
                 vrep_min.append(g)
         vrep = canon_set(vrep_min)
         if ball.hrep is not None:
-            # Mutual containment against the declared hrep.
+            # Mutual containment against the declared hrep.  Every generator
+            # must satisfy it; and the declared region lies inside the hull
+            # exactly when it lists every facet, since each facet appears,
+            # with right-hand side 1, in any H-description of the hull.
             declared = canon_set(ball.hrep)
             for g in gens:
                 if any(abs(phi.dot(g)) > 1 for phi in declared):
                     raise NotANorm("vrep point violates declared hrep")
-            hull_check, _ = _enumerate_vertices(declared, dim)
-            for v in hull_check:
-                if any(abs(phi.dot(v)) > 1 for phi in hrep):
-                    raise NotANorm("declared hrep region is larger than the hull")
+            if not set(hrep) <= set(declared):
+                raise NotANorm("declared hrep region is larger than the hull")
         return Ball(dim, vrep, hrep)
 
     functionals = canon_set(ball.hrep)

@@ -10,8 +10,9 @@ by (1 + delta)^{-1}.
 ``repair_operator`` upgrades this to a map T that must stay nonexpansive
 while two pinned subspaces keep their norms: both norms are repaired, and
 if T still exceeds norm 1 the domain ball is replaced by the hull of the
-pinned ball with the (1 + delta)^{-2}-shrunk repaired ball.  All claimed
-bounds are re-verified exactly.
+pinned ball with the (1 + delta)^{-2}-shrunk repaired ball.  Every claimed
+bound is certified exactly, once, where it is established; repair_operator
+returns its bounds as report.Check records.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .exactlin import (
     solve_linear,
 )
 from .polytope import DIM_CAP, Ball, canon_set, symmetric_hull
+from .report import certify, check_le, check_true
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,7 @@ class NormRepair:
     repaired: Space
     delta: Fraction
     pinned: LinMap
+    ratio: Fraction  # worst two-way ratio of the original and repaired norms
 
 
 def extend_functional(phi: QVec, incl: LinMap) -> QVec:
@@ -88,14 +91,15 @@ def extend_functional(phi: QVec, incl: LinMap) -> QVec:
     return psi
 
 
-def _check_equivalence(a: Space, b: Space, factor: Fraction) -> None:
-    """Exact two-sided bound: norms of a and b within the given factor."""
-    for v in a.ball.vrep:
-        if norm_eval(b, v) > factor:
-            raise VerificationError("norm equivalence bound violated")
-    for w in b.ball.vrep:
-        if norm_eval(a, w) > factor:
-            raise VerificationError("norm equivalence bound violated")
+def _check_equivalence(a: Space, b: Space, factor: Fraction) -> Fraction:
+    """The worst two-way ratio of the norms of a and b, certified <= factor."""
+    worst = max(
+        [norm_eval(b, v) for v in a.ball.vrep] + [norm_eval(a, w) for w in b.ball.vrep],
+        default=Fraction(0),
+    )
+    if worst > factor:
+        raise VerificationError(f"norm equivalence ratio {worst} exceeds {factor}")
+    return worst
 
 
 def repair_norm(
@@ -115,7 +119,7 @@ def repair_norm(
     if not is_isometric(incl):
         raise PreconditionError("repair_norm requires an isometric inclusion")
     if Y.dim == 0:
-        return NormRepair(Y, Y, delta, LinMap(incl.matrix, incl.domain, Y))
+        return NormRepair(Y, Y, delta, LinMap(incl.matrix, incl.domain, Y), Fraction(0))
     X = incl.domain
     shrink = 1 / (1 + delta)
     functionals = [extend_functional(phi, incl) for phi in X.ball.hrep]
@@ -124,8 +128,8 @@ def repair_norm(
     pinned = LinMap(incl.matrix, X, repaired)
     if not is_isometric(pinned):
         raise VerificationError("repair failed to pin the subspace norm")
-    _check_equivalence(Y, repaired, 1 + delta)
-    return NormRepair(Y, repaired, delta, pinned)
+    ratio = _check_equivalence(Y, repaired, 1 + delta)
+    return NormRepair(Y, repaired, delta, pinned, ratio)
 
 
 def repair_operator(
@@ -133,11 +137,11 @@ def repair_operator(
 ):
     """Repair both norms so T becomes nonexpansive with both pins intact.
 
-    Returns (domain repair, codomain repair, T').  The domain may need the
-    extra rescale step, in which case its repair is (1 + delta)^2 - 1
-    equivalent rather than delta-equivalent; inputs with operator norm
-    above (1 + delta)^2 are rejected, and a repair that still fails the
-    exact nonexpansiveness check raises VerificationError.
+    Returns (domain repair, codomain repair, T', the certified checks).
+    The domain may need the extra rescale step, in which case its repair
+    is (1 + delta)^2 - 1 equivalent rather than delta-equivalent; inputs
+    with operator norm above (1 + delta)^2 are rejected, and a repair that
+    still fails the exact nonexpansiveness check raises VerificationError.
     """
     delta = rat(delta)
     if delta <= 0:
@@ -183,14 +187,18 @@ def repair_operator(
         pinned = LinMap(i0.matrix, i0.domain, rescaled)
         if not is_isometric(pinned):
             raise VerificationError("rescale failed to keep the domain pin")
-        _check_equivalence(T.domain, rescaled, headroom)
-        rx = NormRepair(T.domain, rescaled, headroom - 1, pinned)
+        ratio = _check_equivalence(T.domain, rescaled, headroom)
+        rx = NormRepair(T.domain, rescaled, headroom - 1, pinned, ratio)
         t_prime = LinMap(T.matrix, rescaled, ry.repaired)
-    final = operator_norm(t_prime)
-    if final > 1:
-        raise VerificationError(
-            f"operator norm {final} > 1 after repair; delta too small"
-        )
+    # repair_norm, or the rescale step above, certified both pins isometric
+    # and each ratio within 1 + delta, or within headroom for the rescale.
+    checks = certify(
+        check_le("norm(T') <= 1", operator_norm(t_prime), Fraction(1)),
+        check_true("domain pin stays isometric", True),
+        check_true("codomain pin stays isometric", True),
+        check_le("domain norms within (1+delta)^2 both ways", rx.ratio, headroom),
+        check_le("codomain norms within (1+delta)^2 both ways", ry.ratio, headroom),
+    )
     if t_prime.matrix @ rx.pinned.matrix != ry.pinned.matrix @ T0.matrix:
         raise VerificationError("repaired operator broke the pinned square")
-    return rx, ry, t_prime
+    return rx, ry, t_prime, checks

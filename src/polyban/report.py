@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import VerificationError
 from .exactlin import rat_str
 
 
@@ -52,6 +53,21 @@ def check_lt(bound: str, computed, limit) -> Check:
 
 def check_true(bound: str, ok: bool, computed: str = "") -> Check:
     return Check(bound, "true", computed or _render(ok), bool(ok))
+
+
+def certify(*checks: Check) -> tuple[Check, ...]:
+    """The checks, once every one passes; the first failure raises.
+
+    This is how a construction certifies the facts it reports: it builds
+    the Check records from values it computed anyway and returns them with
+    its result, so a report renders them instead of re-testing.
+    """
+    for c in checks:
+        if not c.ok:
+            raise VerificationError(
+                f"{c.bound}: claimed {c.claimed}, computed {c.computed}"
+            )
+    return checks
 
 
 def all_pass(checks) -> bool:

@@ -304,7 +304,7 @@ def test_criterion_05_norm_and_operator_repair():
         empty = zero_space()
         i0 = LinMap(QMat.zeros(dx, 0), empty, X)
         j0 = LinMap(QMat.zeros(Y.dim, 0), empty, Y)
-        rx, ry, t_prime = repair_operator(T, i0, j0, delta)
+        rx, ry, t_prime, _ = repair_operator(T, i0, j0, delta)
         factor = (1 + delta) ** 2
         assert operator_norm(t_prime) <= 1
         assert is_isometric(rx.pinned) and is_isometric(ry.pinned)
@@ -408,7 +408,7 @@ def test_criterion_07_extension_witnesses(chain20):
         seed = OperatorSquare(S, stage.F, i0, i1, eps, Fraction(0))
         scripted.append((n, T, incl, incl, seed))
     for n, T, x0incl, y0incl, seed in scripted:
-        i_prime, j_prime, m, extended = g_witness(
+        i_prime, j_prime, m, extended, _ = g_witness(
             chain20, T, x0incl, y0incl, seed, eps
         )
         target = extended.stages[m]
@@ -439,7 +439,7 @@ def test_criterion_08_universality_transcript():
     )
     ident = LinMap(QMat.identity(1), line(), line())
     for T in (jordan, ident):
-        squares = embed_operator(chain, T, schedule, 5)
+        squares, _ = embed_operator(chain, T, schedule, 5)
         assert len(squares) == 6
         for n, sq in enumerate(squares):
             eps_n = schedule.eps(n)
@@ -525,14 +525,14 @@ def test_criterion_10_kernel_and_surjectivity(chain20, kernel_chain):
         v = sample_point(rnd, dim, spread=4)
         while v.is_zero():
             v = sample_point(rnd, dim, spread=4)
-        m, u, extended = surjectivity_witness(chain20, v)
+        m, u, extended, _ = surjectivity_witness(chain20, v)
         stage = extended.stages[m]
         lifted = v.concat(QVec.zero(stage.V.dim - v.dim))
         assert stage.F.matrix.apply(u) == lifted
         surjections += 1
     for scale in (Fraction(1), Fraction(-3, 2)):
         v = QVec.of([scale])
-        m, u, extended = surjectivity_witness(kernel_chain, v)
+        m, u, extended, _ = surjectivity_witness(kernel_chain, v)
         stage = extended.stages[m]
         lifted = v.concat(QVec.zero(stage.V.dim - v.dim))
         assert stage.F.matrix.apply(u) == lifted
@@ -559,7 +559,7 @@ def test_criterion_10_kernel_and_surjectivity(chain20, kernel_chain):
             x0incl = LinMap.identity(line())
         else:
             x0incl = LinMap(QMat.from_rows([[1], [0]]), line(), l1_space(2))
-        i_prime, m, extended = kernel_witness(
+        i_prime, m, extended, _ = kernel_witness(
             kernel_chain, x0incl, i, eps
         )
         target = extended.stages[m]

@@ -9,6 +9,7 @@ import pytest
 
 from polyban.banach import LinMap, l1_space, line, zero_space
 from polyban.cli import main
+from polyban.errors import VerificationError
 from polyban.exactlin import QMat, QVec, rat
 from polyban.fraisse import build_chain
 from polyban.io import (
@@ -64,6 +65,10 @@ def work(tmp_path_factory):
         ]
     ) == 0
     return root
+
+
+def planted_failure(*args, **kwargs):
+    raise VerificationError("planted failure")
 
 
 def run_json(capsys, argv):
@@ -367,6 +372,27 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "--eps" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "verb, doc, named",
+        [
+            ("op-norm", {"map": {"matrix": [["1"]]}}, "'domain'"),
+            (
+                "op-norm",
+                {"map": {"matrix": [["1"]], "domain": {"dim": 1, "ball": {"dim": 1, "vrep": [["1"]]}}}},
+                "'codomain'",
+            ),
+            ("space-check", {"dim": 2, "vrep": 5}, "vrep"),
+            ("space-check", {"dim": 2, "hrep": "1, 0"}, "hrep"),
+        ],
+        ids=["map-without-domain", "map-without-codomain", "vrep-not-a-list", "hrep-not-a-list"],
+    )
+    def test_malformed_document_shape_named(self, tmp_path, capsys, verb, doc, named):
+        path = tmp_path / "input.json"
+        save_json(str(path), doc)
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
     def test_missing_field_named(self, work, tmp_path, capsys):
         path = tmp_path / "empty.json"
         save_json(str(path), {})
@@ -404,21 +430,45 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
 
-    def test_internal_verification_failure_exits_one(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "target, planted, argv, message",
+        [
+            (
+                "polyban.cli.pushout",
+                planted_failure,
+                ["amalgam-pushout", "pushout_pair.json"],
+                "planted failure",
+            ),
+            # correction_sum certifies the leg isometry that it reports.
+            (
+                "polyban.amalgam.is_isometric",
+                lambda T: False,
+                ["amalgam-correct", "line_correction.json", "--eps", "1/2"],
+                "iX is isometric: claimed true, computed false",
+            ),
+        ],
+        ids=["pushout", "correction-sum"],
+    )
+    def test_internal_verification_failure_exits_one(
+        self, monkeypatch, capsys, tmp_path, target, planted, argv, message
+    ):
         import pathlib
 
-        import polyban.cli
-        from polyban.errors import VerificationError
-
-        def broken(*args, **kwargs):
-            raise VerificationError("planted failure")
-
-        monkeypatch.setattr(polyban.cli, "pushout", broken)
+        monkeypatch.setattr(target, planted)
         data = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
-        assert main(["amalgam-pushout", str(data / "pushout_pair.json")]) == 1
+        out = tmp_path / "report.json"
+        verb, infile, *flags = argv
+        assert main([verb, str(data / infile), *flags, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: verification failed: planted failure\n"
+        assert captured.err == f"error: verification failed: {message}\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_cli_runs_no_checks_of_its_own_on_construction_results(self):
+        import polyban.cli
+
+        for name in ("is_isometric", "classify_embedding", "map_distance"):
+            assert not hasattr(polyban.cli, name), name
 
     def test_console_entry_point(self, tmp_path):
         ident = LinMap(QMat.identity(1), line(), line())

@@ -8,6 +8,7 @@ from polyban.banach import (
     LinMap,
     Space,
     is_isometric,
+    l1_sum,
     linf_space,
     lower_isometry_bound,
     map_distance,
@@ -217,6 +218,27 @@ class TestBuildChain:
         assert len(chain.stages) == 1
         assert chain.stages[0].U == zero_space()
 
+    def test_task_pool_grows_by_one_group_per_stage(self, monkeypatch):
+        import polyban.fraisse
+
+        calls = []
+
+        def counting_l1_sum(*args, **kwargs):
+            calls.append(args)
+            return l1_sum(*args, **kwargs)
+
+        monkeypatch.setattr(polyban.fraisse, "l1_sum", counting_l1_sum)
+        build_chain(9, 6, 1)
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("cap", [4, 6])
+    def test_equals_enumerate_tasks_fold(self, seed, cap):
+        chain = zero_chain(cap, seed)
+        for n in range(1, 9):
+            chain = step_chain(chain, enumerate_tasks(chain, n)[n - 1])
+            assert build_chain(n, cap, seed) == chain
+
 
 class TestRealizeOver:
     def test_glue_identity_and_leading_coords(self):
@@ -260,7 +282,7 @@ class TestGWitness:
     def test_fast_path_restriction_of_stage(self):
         stage = self.chain.stages[3]
         seed = identity_square(self.chain, 3)
-        i_p, j_p, m, out = g_witness(
+        i_p, j_p, m, out, _ = g_witness(
             self.chain,
             stage.F,
             LinMap.identity(stage.U),
@@ -275,8 +297,6 @@ class TestGWitness:
     def test_extension_realized_exactly(self):
         stage = self.chain.stages[3]
         # extend F_3 by a fresh l1 direction mapped to half the basis vector
-        from polyban.banach import l1_sum
-
         X, inl, _ = l1_sum(stage.U, line_space())
         col = QVec.unit(1, 0).scale(F(1, 2))
         T = LinMap(
@@ -290,7 +310,7 @@ class TestGWitness:
             F(1, 4),
             F(0),
         )
-        i_p, j_p, m, out = g_witness(
+        i_p, j_p, m, out, _ = g_witness(
             self.chain, T, inl, LinMap.identity(stage.V), seed, F(1, 4)
         )
         target = out.stages[m]
@@ -347,8 +367,6 @@ class TestClaimStep:
     def test_exact_fast_path(self):
         chain = build_chain(4, dim_cap=3, seed=0)
         stage = chain.stages[3]
-        from polyban.banach import l1_sum
-
         X, inl, _ = l1_sum(stage.U, line_space())
         T = LinMap(
             stage.F.matrix.hstack(QMat.zeros(1, 1)), X, stage.V
@@ -437,7 +455,7 @@ class TestKernelWitness:
         plane = linf_space(2)
         sub, incl = axis_subspace(plane)
         i = LinMap(QMat.identity(1), sub, stage.U)
-        w, m, extended = kernel_witness(chain, incl, i, F(1, 4))
+        w, m, extended, _ = kernel_witness(chain, incl, i, F(1, 4))
         assert is_isometric(w)
         assert w.domain == plane
         assert (extended.stages[m].F.matrix @ w.matrix).is_zero()
@@ -456,13 +474,13 @@ class TestSurjectivityWitness:
     def test_fast_path_in_range(self):
         chain = build_chain(6, dim_cap=4, seed=0)
         v = QVec.of([F(1), F(1)])
-        m, u, _ = surjectivity_witness(chain, v)
+        m, u, _, _ = surjectivity_witness(chain, v)
         assert m == 5
         assert u.entries == (F(-1), F(-1))
 
     def test_slow_path_outside_range(self):
         chain = step_chain(zero_chain(4, 0), glue_task(0))
-        m, u, _ = surjectivity_witness(chain, QVec.of([F(1)]))
+        m, u, _, _ = surjectivity_witness(chain, QVec.of([F(1)]))
         assert m == 2
         # the witness stage hits v on the nose
         target = chain  # original chain is not mutated
@@ -492,7 +510,7 @@ class TestEmbedOperator:
         J = LinMap(QMat.from_rows([[0, 1], [0, 0]]), X, X)
         chain = build_chain(4, dim_cap=2, seed=0)
         sched = EpsSchedule(F(1), tuple(F(1, 2**n) for n in range(1, 6)))
-        squares = embed_operator(chain, J, sched, 5)
+        squares, _ = embed_operator(chain, J, sched, 5)
         assert len(squares) == 6
         for n, sq in enumerate(squares):
             assert sq.defect == 0
@@ -508,7 +526,7 @@ class TestEmbedOperator:
         ident = LinMap.identity(ln)
         chain = build_chain(4, dim_cap=2, seed=0)
         sched = EpsSchedule(F(1), tuple(F(1, 2**n) for n in range(1, 6)))
-        squares = embed_operator(chain, ident, sched, 5)
+        squares, _ = embed_operator(chain, ident, sched, 5)
         assert all(sq.defect == 0 for sq in squares)
         assert squares[1].S.domain.dim == 1
 
@@ -517,7 +535,7 @@ class TestEmbedOperator:
         J = LinMap(QMat.from_rows([[0, 1], [0, 0]]), X, X)
         chain = build_chain(4, dim_cap=2, seed=0)
         sched = EpsSchedule(F(1), tuple(F(1, 2**n) for n in range(1, 6)))
-        squares = embed_operator(chain, J, sched, 5)
+        squares, _ = embed_operator(chain, J, sched, 5)
         for prev, cur in zip(squares, squares[1:]):
             if prev.S.domain.dim == cur.S.domain.dim:
                 continue

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_gauge, brute_force_vertices
 from polyban.errors import CapExceeded, NotANorm, VerificationError
-from polyban.exactlin import QMat, QVec
+from polyban.exactlin import QMat, QVec, rank
 from polyban.polytope import (
     Ball,
     canon_set,
@@ -116,6 +116,30 @@ class TestValidation:
     def test_consistent_pair_accepted(self):
         ball = Ball(2, vecs((0, 1), (1, 0)), vecs((1, -1), (1, 1)))
         assert complete_representations(ball) == ball
+
+    def test_redundant_declared_functional_accepted(self):
+        # (1, 0) is valid on the l1 ball but no facet of it.
+        ball = Ball(2, vecs((0, 1), (1, 0)), vecs((1, -1), (1, 1), (1, 0)))
+        assert complete_representations(ball).hrep == vecs((1, -1), (1, 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                min_size=dim,
+                max_size=dim + 2,
+            )
+        ),
+    )
+    def test_declared_hrep_missing_a_facet_rejected(self, rows):
+        dim = len(rows[0])
+        assume(rank(QMat.from_rows(rows, cols=dim)) == dim)
+        ball = complete_from_vrep(dim, rows)
+        for drop in range(len(ball.hrep)):
+            declared = ball.hrep[:drop] + ball.hrep[drop + 1 :]
+            with pytest.raises(NotANorm):
+                complete_representations(Ball(dim, ball.vrep, declared))
 
     def test_signed_rep_of_a_missing_side_rejected(self):
         with pytest.raises(VerificationError):

@@ -110,7 +110,7 @@ class TestRepairOperator:
     def test_already_nonexpansive_full_pins(self):
         X = linf_space(2)
         T = lmap([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], X, X)
-        rx, ry, tp = repair_operator(
+        rx, ry, tp, _ = repair_operator(
             T, LinMap.identity(X), LinMap.identity(X), Fraction(1, 4)
         )
         assert rx.repaired == X and ry.repaired == X
@@ -120,7 +120,7 @@ class TestRepairOperator:
         Y = line()
         T = lmap([[Fraction(6, 5)]], Y, Y)
         zero_pin = LinMap.zero(zero_space(), Y)
-        rx, ry, tp = repair_operator(T, zero_pin, zero_pin, Fraction(1, 5))
+        rx, ry, tp, _ = repair_operator(T, zero_pin, zero_pin, Fraction(1, 5))
         assert operator_norm(tp) == Fraction(5, 6)
         assert rx.repaired.ball.vrep == (QVec.of([Fraction(5, 6)]),)
         assert ry.repaired.ball.vrep == (QVec.of([Fraction(6, 5)]),)
@@ -129,7 +129,7 @@ class TestRepairOperator:
         X = linf_space(2)
         T = lmap([[1, 0], [0, Fraction(9, 8)]], X, X)
         pin = axis_inclusion(X)
-        rx, ry, tp = repair_operator(T, pin, pin, Fraction(1, 4))
+        rx, ry, tp, _ = repair_operator(T, pin, pin, Fraction(1, 4))
         assert operator_norm(tp) <= 1
         assert is_isometric(rx.pinned) and is_isometric(ry.pinned)
         assert norm_eval(rx.repaired, QVec.of([1, 0])) == 1
