@@ -488,6 +488,8 @@ def build_chain(stages: int, dim_cap: int = DEFAULT_DIM_CAP, seed: int = 0) -> C
     """
     if stages < 0:
         raise PreconditionError("stages must be >= 0")
+    if dim_cap < 0:
+        raise PreconditionError("dim_cap must be >= 0")
     chain = zero_chain(dim_cap, seed)
     rnd = random.Random(seed)
     pool = _base_group(rnd)
@@ -661,8 +663,9 @@ def claim_step(
     g_square = make_square(f.T, stage_m.F, g0, g1, eps)
     if g_square.defect != 0:
         raise VerificationError("claim output square is not exact")
-    if not is_isometric(g0) or not is_isometric(g1):
-        raise VerificationError("claim output legs lost isometry")
+    # g0 and g1 are isometric without a test: g_witness certified i' and j',
+    # correction_sum certified each jY, and composites of isometries are
+    # isometries.
     pad_u = pad_map(chain.stages[p].U, stage_m.U)
     pad_v = pad_map(chain.stages[p].V, stage_m.V)
     close0 = map_distance(g0.compose(f.i0), pad_u.compose(seed.i0))

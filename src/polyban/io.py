@@ -170,6 +170,8 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
     for name, value in (("dim_cap", dim_cap), ("seed", seed)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParseError(f"chain {name} must be an integer")
+    if dim_cap < 0:
+        raise ParseError("chain dim_cap must be >= 0")
     raw_stages = obj["stages"]
     if not isinstance(raw_stages, list) or not raw_stages:
         raise ParseError("chain needs a stages list with at least stage 0")

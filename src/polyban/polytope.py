@@ -4,7 +4,9 @@ A ball is carried in up to two forms: the V-representation (vertices, one
 canonical representative per +-pair) and the H-representation (facet
 functionals, same convention).  The norm is ``max_j |phi_j(x)|`` and the dual
 norm is ``max_v |phi(v)|``; conversion between the two forms is the double
-description method, run incrementally with bitmask tight sets.
+description method, run incrementally with bitmask tight sets.  H -> V
+enumerates the vertices of the hrep; V -> H is the same enumeration on the
+polar ball, whose H-description is the vrep.
 
 Symmetry is exploited throughout: only one representative per antipodal pair
 is stored, with the canonical sign making the first nonzero coordinate
@@ -96,8 +98,6 @@ def _enumerate_vertices(
     the i-th returned mask has bit c set when signed constraint c is tight at
     the i-th vertex.  Raises NotANorm when the region is unbounded.
     """
-    if dim == 0:
-        return [], []
     # Greedy independent subset to form the initial parallelotope.
     chosen: list[int] = []
     for k, phi in enumerate(functionals):
@@ -116,38 +116,22 @@ def _enumerate_vertices(
         signed.append(phi)
         signed.append(-phi)
 
-    def tight_mask(point: QVec, upto: int) -> int:
-        mask = 0
-        for c in range(upto):
-            if signed[c].dot(point) == 1:
-                mask |= 1 << c
-        return mask
-
-    # Initial vertices: base_inv applied to every sign vector.
+    # Initial vertices: base_inv applied to every sign vector s, where the
+    # chosen row i is tight with sign s_i (+phi_k at bit 2k, -phi_k at 2k+1).
     vertices: list[QVec] = []
     masks: list[int] = []
-    processed = set()
     for bits in range(1 << dim):
         s = QVec.of([1 if (bits >> i) & 1 == 0 else -1 for i in range(dim)])
-        point = base_inv.apply(s)
-        vertices.append(point)
-    initial_signed_indices = []
-    for k in chosen:
-        initial_signed_indices.extend((2 * k, 2 * k + 1))
-        processed.add(2 * k)
-        processed.add(2 * k + 1)
-    for point in vertices:
-        mask = 0
-        for c in initial_signed_indices:
-            if signed[c].dot(point) == 1:
-                mask |= 1 << c
-        masks.append(mask)
+        vertices.append(base_inv.apply(s))
+        masks.append(
+            sum(1 << (2 * k + ((bits >> i) & 1)) for i, k in enumerate(chosen))
+        )
+    processed = {c for k in chosen for c in (2 * k, 2 * k + 1)}
 
     # Add the remaining signed constraints one at a time.
     for c in range(len(signed)):
         if c in processed:
             continue
-        processed.add(c)
         row = signed[c]
         values = [row.dot(v) for v in vertices]
         inside = [i for i, g in enumerate(values) if g < 1]
@@ -181,29 +165,13 @@ def _enumerate_vertices(
         masks = [
             masks[i] | ((1 << c) if i in on_set else 0) for i in keep_idx
         ] + new_masks
-        # Merge coincident points (degenerate inputs).
-        merged: dict[tuple, int] = {}
-        out_vertices: list[QVec] = []
-        out_masks: list[int] = []
-        for v, m in zip(vertices, masks):
-            key = v.entries
-            if key in merged:
-                out_masks[merged[key]] |= m
-            else:
-                merged[key] = len(out_vertices)
-                out_vertices.append(v)
-                out_masks.append(m)
-        vertices, masks = out_vertices, out_masks
-
-    # Safety: a vertex must have tight normals of full rank.
-    final_vertices: list[QVec] = []
-    final_masks: list[int] = []
-    for v, m in zip(vertices, masks):
-        normals = [signed[c].entries for c in range(len(signed)) if (m >> c) & 1]
-        if rank(QMat.from_rows(normals, cols=dim)) == dim:
-            final_vertices.append(v)
-            final_masks.append(m)
-    return final_vertices, final_masks
+    # The points are distinct vertices with exact tight sets.  A new point
+    # lies strictly inside an edge, since 0 < lam < 1 between an inside and
+    # an outside vertex; the combinatorial test admits only true edges, and
+    # distinct edges have disjoint interiors, so no two points coincide; and
+    # a constraint tight inside an edge is tight along the whole edge, so
+    # common | bit c is the exact tight set.
+    return vertices, masks
 
 
 def _affine_rank(points: list[QVec]) -> int:
@@ -214,13 +182,31 @@ def _affine_rank(points: list[QVec]) -> int:
     return rank(QMat.from_rows(diffs, cols=base.dim))
 
 
+def _vertices_and_facets(
+    functionals: tuple[QVec, ...], dim: int
+) -> tuple[tuple[QVec, ...], tuple[QVec, ...]]:
+    """Canonical vertices and facets of {x : |phi(x)| <= 1}.
+
+    Takes canonical functionals; a functional is a facet iff its tight
+    vertices have affine rank dim-1.
+    """
+    vertices, masks = _enumerate_vertices(functionals, dim)
+    facets = []
+    for k, phi in enumerate(functionals):
+        tight = [v for v, m in zip(vertices, masks) if (m >> (2 * k)) & 1]
+        if _affine_rank(tight) == dim - 1:
+            facets.append(phi)
+    return canon_set(vertices), tuple(facets)
+
+
 def complete_representations(ball: Ball, dim_cap: int = DIM_CAP) -> Ball:
     """Fill in the missing representation and canonically minimalize both.
 
-    V -> H goes through the polar (the polar's vertices are exactly the
-    facet functionals); H -> V is direct vertex enumeration.  Idempotent.
-    Raises NotANorm when the data does not describe a norm and CapExceeded
-    past the dimension cap.
+    H -> V is vertex enumeration of the hrep; V -> H is the same routine run
+    on the polar, whose H-description is the generators: the polar's
+    vertices are the ball's facets and its facets the ball's vertices.
+    Idempotent.  Raises NotANorm when the data does not describe a norm and
+    CapExceeded past the dimension cap.
     """
     _check_cap(ball.dim, dim_cap)
     dim = ball.dim
@@ -228,55 +214,25 @@ def complete_representations(ball: Ball, dim_cap: int = DIM_CAP) -> Ball:
         return Ball(0, (), ())
     if ball.vrep is None and ball.hrep is None:
         raise NotANorm("ball has neither representation")
+    if ball.vrep is None:
+        return Ball(dim, *_vertices_and_facets(canon_set(ball.hrep), dim))
 
-    if ball.vrep is not None:
-        gens = canon_set(ball.vrep)
-        if rank(QMat.from_rows([g.entries for g in gens], cols=dim)) < dim:
-            raise NotANorm("vertices do not span; the ball is degenerate")
-        # Polar vertices = facet functionals of the ball.
-        facets, _ = _enumerate_vertices(gens, dim)
-        hrep = canon_set(facets)
-        # A generator is a vertex iff its tight facet normals span.
-        signed_h = []
-        for phi in hrep:
-            signed_h.append(phi)
-            signed_h.append(-phi)
-        vrep_min = []
+    gens = canon_set(ball.vrep)
+    if rank(QMat.from_rows([g.entries for g in gens], cols=dim)) < dim:
+        raise NotANorm("vertices do not span; the ball is degenerate")
+    hrep, vrep = _vertices_and_facets(gens, dim)
+    if ball.hrep is not None:
+        # Mutual containment against the declared hrep.  Every generator
+        # must satisfy it; and the declared region lies inside the hull
+        # exactly when it lists every facet, since each facet appears,
+        # with right-hand side 1, in any H-description of the hull.
+        declared = canon_set(ball.hrep)
         for g in gens:
-            if any(abs(phi.dot(g)) > 1 for phi in hrep):
-                raise NotANorm("inconsistent vrep: generator outside its own hull")
-            tight = [phi.entries for phi in signed_h if phi.dot(g) == 1]
-            if rank(QMat.from_rows(tight, cols=dim)) == dim:
-                vrep_min.append(g)
-        vrep = canon_set(vrep_min)
-        if ball.hrep is not None:
-            # Mutual containment against the declared hrep.  Every generator
-            # must satisfy it; and the declared region lies inside the hull
-            # exactly when it lists every facet, since each facet appears,
-            # with right-hand side 1, in any H-description of the hull.
-            declared = canon_set(ball.hrep)
-            for g in gens:
-                if any(abs(phi.dot(g)) > 1 for phi in declared):
-                    raise NotANorm("vrep point violates declared hrep")
-            if not set(hrep) <= set(declared):
-                raise NotANorm("declared hrep region is larger than the hull")
-        return Ball(dim, vrep, hrep)
-
-    functionals = canon_set(ball.hrep)
-    vertices, masks = _enumerate_vertices(functionals, dim)
-    if not vertices:
-        raise NotANorm("empty vertex set")
-    signed = []
-    for phi in functionals:
-        signed.append(phi)
-        signed.append(-phi)
-    # A constraint is a facet iff its tight vertices have affine rank dim-1.
-    hrep_min = []
-    for k, phi in enumerate(functionals):
-        tight = [v for v, m in zip(vertices, masks) if (m >> (2 * k)) & 1]
-        if _affine_rank(tight) == dim - 1:
-            hrep_min.append(phi)
-    return Ball(dim, canon_set(vertices), canon_set(hrep_min))
+            if any(abs(phi.dot(g)) > 1 for phi in declared):
+                raise NotANorm("vrep point violates declared hrep")
+        if not set(hrep) <= set(declared):
+            raise NotANorm("declared hrep region is larger than the hull")
+    return Ball(dim, vrep, hrep)
 
 
 def gauge_vrep(ball: Ball, point: QVec) -> Fraction:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from polyban.exactlin import QMat, QVec, solve_linear
+from polyban.exactlin import QMat, QVec, rank, solve_linear
 
 
 def brute_force_lp(objective, constraints, sense="max"):
@@ -93,7 +93,11 @@ def brute_force_gauge(generators, point):
 
 
 def brute_force_vertices(functionals, dim):
-    """Vertices of {x : |phi(x)| <= 1} by trying all d-subsets of +-functionals."""
+    """Vertices of {x : |phi(x)| <= 1} by trying all d-subsets of +-functionals.
+
+    Only subsets of rank dim define a point; a singular subset, even a
+    consistent one, meets the region in a face of positive dimension.
+    """
     signed = []
     for phi in functionals:
         vec = QVec.of(phi)
@@ -104,9 +108,9 @@ def brute_force_vertices(functionals, dim):
     vertices = []
     for subset in itertools.combinations(range(len(signed)), dim):
         mat = QMat.from_rows([signed[i].entries for i in subset], cols=dim)
-        x = solve_linear(mat, ones)
-        if x is None or mat.apply(x) != ones:
+        if rank(mat) < dim:
             continue
+        x = solve_linear(mat, ones)
         if any(abs(s.dot(x)) > 1 for s in signed):
             continue
         key = x.entries
@@ -114,6 +118,20 @@ def brute_force_vertices(functionals, dim):
             seen.add(key)
             vertices.append(x)
     return vertices
+
+
+def brute_force_facets(functionals, dim):
+    """The functionals whose tight oracle vertices have affine rank dim - 1."""
+    vertices = brute_force_vertices(functionals, dim)
+    facets = []
+    for phi in functionals:
+        vec = QVec.of(phi)
+        tight = [v for v in vertices if vec.dot(v) == 1]
+        if tight:
+            diffs = [(v - tight[0]).entries for v in tight[1:]]
+            if rank(QMat.from_rows(diffs, cols=dim)) == dim - 1:
+                facets.append(vec)
+    return facets
 
 
 def sphere_min_by_facet_lp(matrix, domain, codomain):

@@ -196,6 +196,13 @@ class TestChainBuild:
         assert main(["chain-build", "--stages", "-1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_dim_cap_rejected(self, tmp_path, capsys):
+        out = tmp_path / "chain.json"
+        argv = ["chain-build", "--stages", "3", "--dim-cap", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: dim_cap must be >= 0\n"
+        assert not out.exists()
+
 
 class TestWitnessVerbs:
     def test_g_witness(self, work, tmp_path, capsys):

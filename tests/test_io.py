@@ -122,6 +122,12 @@ class TestChain:
         with pytest.raises(ParseError):
             chain_from_json(doc)
 
+    def test_negative_dim_cap_rejected(self):
+        doc = chain_to_json(build_chain(2))
+        doc["dim_cap"] = -1
+        with pytest.raises(ParseError, match="dim_cap must be >= 0"):
+            chain_from_json(doc)
+
     def test_tampered_operator_rejected(self):
         chain = build_chain(6, dim_cap=4, seed=1)
         doc = chain_to_json(chain)

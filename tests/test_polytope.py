@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_gauge, brute_force_vertices
+from oracles import brute_force_facets, brute_force_gauge, brute_force_vertices
 from polyban.errors import CapExceeded, NotANorm, VerificationError
 from polyban.exactlin import QMat, QVec, rank
 from polyban.polytope import (
@@ -81,11 +81,35 @@ class TestConversions:
         twice = complete_representations(once)
         assert once == twice
 
-    def test_matches_brute_force_vertices(self):
-        funcs = vecs((1, 2), (3, -1), (1, 0), (0, 1))
-        ball = complete_from_hrep(2, funcs)
-        expected = canon_set(brute_force_vertices(list(funcs), 2))
-        assert ball.vrep == expected
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                    min_size=dim,
+                    max_size=dim + 3,
+                ),
+                st.none() | st.fractions(-3, 3, max_denominator=4),
+            )
+        ),
+    )
+    @example(([[1, 2], [3, -1], [1, 0], [0, 1]], None))
+    def test_matches_brute_force_vertices(self, drawn):
+        rows, multiple = drawn
+        dim = len(rows[0])
+        if multiple is not None:
+            rows = rows + [[multiple * x for x in rows[0]]]
+        assume(rank(QMat.from_rows(rows, cols=dim)) == dim)
+        vertices = canon_set(brute_force_vertices(rows, dim))
+        facets = canon_set(brute_force_facets(rows, dim))
+        from_h = complete_from_hrep(dim, rows)
+        assert from_h.vrep == vertices
+        assert from_h.hrep == facets
+        # V -> H is H -> V on the polar: the roles of the two sides swap.
+        from_v = complete_from_vrep(dim, rows)
+        assert from_v.hrep == vertices
+        assert from_v.vrep == facets
 
     def test_octahedron_from_cube_hrep_dim3(self):
         funcs = vecs((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1))
