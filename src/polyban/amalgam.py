@@ -176,11 +176,7 @@ def correction_sum(f: LinMap, eps, dim_cap: int = DIM_CAP) -> CorrectionResult:
     part_x = Ball(dim, canon_set([v.concat(zero_y) for v in X.ball.vrep]), None)
     part_y = Ball(dim, canon_set([zero_x.concat(w) for w in Y.ball.vrep]), None)
     part_g = Ball(dim, canon_set(_correction_generators(f, eps)), None)
-    if dim == 0:
-        ball = Ball(0, (), ())
-    else:
-        ball = symmetric_hull(dim, [part_x, part_y, part_g], dim_cap)
-    Z0 = Space(dim, ball)
+    Z0 = Space(dim, symmetric_hull(dim, [part_x, part_y, part_g], dim_cap))
     iX = LinMap(QMat.identity(X.dim).vstack(QMat.zeros(Y.dim, X.dim)), X, Z0)
     jY = LinMap(QMat.zeros(X.dim, Y.dim).vstack(QMat.identity(Y.dim)), Y, Z0)
     checks = certify(

@@ -8,20 +8,22 @@ bound over the unit sphere, embedding classification, l1 sums, quotients
 and pullbacks.
 
 All values are exact rationals; every optimum is attained at a vertex of a
-completed ball, never sampled.
+completed ball, never sampled.  A Space's ball is always canonical, so the
+facet lemma certifies an isometry with no double description.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError
 from .exactlin import QMat, QVec, _rref, rank, rat
 from .polytope import (
     DIM_CAP,
     Ball,
+    canon_sign,
     complete_representations,
     image_ball,
 )
@@ -34,6 +36,9 @@ NOT_EPS = "not-eps"
 
 @dataclass(frozen=True)
 class Space:
+    """Q^dim with a canonical unit ball: a ball built by hand, which may list
+    redundant vertices or functionals, is stored completed."""
+
     dim: int
     ball: Ball
 
@@ -44,6 +49,9 @@ class Space:
             )
         if not self.ball.is_complete():
             raise PreconditionError("space needs a completed ball")
+        if not self.ball.is_canonical():
+            canonical = complete_representations(self.ball, self.dim)
+            object.__setattr__(self, "ball", canonical)
 
 
 @dataclass(frozen=True)
@@ -109,14 +117,10 @@ def line() -> Space:
 
 
 def linf_space(dim: int, dim_cap: int = DIM_CAP) -> Space:
-    if dim == 0:
-        return zero_space()
     return space_from_hrep(dim, [QVec.unit(dim, i) for i in range(dim)], dim_cap)
 
 
 def l1_space(dim: int, dim_cap: int = DIM_CAP) -> Space:
-    if dim == 0:
-        return zero_space()
     return space_from_vrep(dim, [QVec.unit(dim, i) for i in range(dim)], dim_cap)
 
 
@@ -151,14 +155,6 @@ def map_distance(S: LinMap, T: LinMap) -> Fraction:
     return operator_norm(LinMap(S.matrix - T.matrix, S.domain, S.codomain))
 
 
-def _pullback_ball(T: LinMap) -> Optional[Ball]:
-    """The completed ball {x : ||T x|| <= 1}, or None when T has a kernel."""
-    try:
-        return pullback_space(T.matrix, T.codomain, T.domain.dim).ball
-    except PreconditionError:
-        return None
-
-
 def lower_isometry_bound(T: LinMap) -> Fraction:
     """Exact min of ||T x|| over the domain unit sphere.
 
@@ -168,19 +164,26 @@ def lower_isometry_bound(T: LinMap) -> Fraction:
     """
     if T.domain.dim == 0:
         return Fraction(1)
-    pullback = _pullback_ball(T)
-    if pullback is None:
+    try:
+        pullback = pullback_space(T.matrix, T.codomain, T.domain.dim).ball
+    except PreconditionError:
         return Fraction(0)
     return 1 / max(norm_eval(T.domain, w) for w in pullback.vrep)
 
 
 def is_isometric(T: LinMap) -> bool:
-    """Exact isometry test: T pulls the codomain ball back onto the domain ball.
-
-    A T with a kernel has no pullback ball.  Completed balls are canonical,
-    so this is plain equality; a zero-dimensional domain holds vacuously.
+    """Exact isometry test by the facet lemma: every facet of a polytope
+    appears, with right-hand side 1, in any H-description of it, and the
+    T^t psi over codomain facets psi describe the pullback ball.  So T is
+    isometric exactly when it is nonexpansive and every domain facet (the
+    minimal hrep a Space holds) is some +-T^t psi.  A T with a kernel fails,
+    as the domain facets span the dual; a zero-dimensional domain holds.
     """
-    return _pullback_ball(T) == T.domain.ball
+    if operator_norm(T) > 1:
+        return False
+    bt = T.matrix.transpose()
+    pulled = {canon_sign(bt.apply(psi)) for psi in T.codomain.ball.hrep}
+    return all(phi in pulled for phi in T.domain.ball.hrep)
 
 
 def classify_embedding(T: LinMap, eps) -> EmbeddingClass:
@@ -212,15 +215,11 @@ def l1_sum(X: Space, Y: Space, dim_cap: int = DIM_CAP):
 
     Returns (space, inl, inr); both injections are isometric.
     """
-    dim = X.dim + Y.dim
-    if dim == 0:
-        total = zero_space()
-    else:
-        zero_y = QVec.zero(Y.dim)
-        zero_x = QVec.zero(X.dim)
-        gens = [v.concat(zero_y) for v in X.ball.vrep]
-        gens += [zero_x.concat(w) for w in Y.ball.vrep]
-        total = space_from_vrep(dim, gens, dim_cap)
+    zero_y = QVec.zero(Y.dim)
+    zero_x = QVec.zero(X.dim)
+    gens = [v.concat(zero_y) for v in X.ball.vrep]
+    gens += [zero_x.concat(w) for w in Y.ball.vrep]
+    total = space_from_vrep(X.dim + Y.dim, gens, dim_cap)
     inl = LinMap(QMat.identity(X.dim).vstack(QMat.zeros(Y.dim, X.dim)), X, total)
     inr = LinMap(QMat.zeros(X.dim, Y.dim).vstack(QMat.identity(Y.dim)), Y, total)
     return total, inl, inr
@@ -268,8 +267,6 @@ def pullback_space(B: QMat, Y: Space, dim_cap: int = DIM_CAP) -> Space:
     if B.rows != Y.dim:
         raise DimensionMismatch("matrix rows must match the ambient dimension")
     k = B.cols
-    if k == 0:
-        return zero_space()
     if rank(B) < k:
         raise PreconditionError("pullback needs an injective matrix")
     bt = B.transpose()

@@ -9,6 +9,7 @@ fixed index order so that repeated runs produce identical results.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -28,6 +29,8 @@ EQ = "="
 GE = ">="
 
 _RAT_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+_TOO_LONG = f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 def rat(value: RatLike) -> Fraction:
@@ -52,6 +55,8 @@ def rat(value: RatLike) -> Fraction:
             return Fraction(value.strip())
         except ZeroDivisionError as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
+        except ValueError as exc:
+            raise ParseError(f"not a rational: {_TOO_LONG}") from exc
     raise ParseError(f"not a rational: {value!r}")
 
 

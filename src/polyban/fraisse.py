@@ -52,7 +52,7 @@ from .errors import (
     VerificationError,
 )
 from .exactlin import QMat, QVec, _rref, invert, rank, rat, solve_linear
-from .polytope import DIM_CAP, Ball, canon_set, complete_representations
+from .polytope import DIM_CAP, Ball, complete_representations
 from .report import Check, certify, check_eq, check_le, check_lt, check_true
 
 DEFAULT_DIM_CAP = 6
@@ -288,13 +288,7 @@ def realize_over(
         raise VerificationError("amalgam basis construction failed")
     change = invert(basis)
     ball_gens = [change.apply(q_mat.apply(v)) for v in gens]
-    if w_dim == 0:
-        ball = Ball(0, (), ())
-    else:
-        ball = complete_representations(
-            Ball(w_dim, canon_set(ball_gens), None), dim_cap
-        )
-    N = Space(w_dim, ball)
+    N = Space(w_dim, complete_representations(Ball.from_vrep(w_dim, ball_gens), dim_cap))
     inclP = LinMap(_pad_matrix(prev.dim, w_dim), prev, N)
     emb = LinMap(change @ j_mat, X, N)
     if emb.matrix @ ext.matrix != inclP.matrix @ via.matrix:

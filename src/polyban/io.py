@@ -15,7 +15,7 @@ from typing import Optional
 
 from .banach import LinMap, Space, is_isometric, operator_norm
 from .errors import DimensionMismatch, ParseError, VerificationError
-from .exactlin import QMat, QVec, rat, rat_str
+from .exactlin import _TOO_LONG, QMat, QVec, rat, rat_str
 from .fraisse import Chain, ChainStage, LogEntry, pad_map
 from .polytope import Ball, complete_representations
 
@@ -224,3 +224,8 @@ def load_json(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:
+        # json reports every other fault as a JSONDecodeError.
+        raise ParseError(f"{path}: {_TOO_LONG}") from exc

@@ -6,7 +6,9 @@ functionals, same convention).  The norm is ``max_j |phi_j(x)|`` and the dual
 norm is ``max_v |phi(v)|``; conversion between the two forms is the double
 description method, run incrementally with bitmask tight sets.  H -> V
 enumerates the vertices of the hrep; V -> H is the same enumeration on the
-polar ball, whose H-description is the vrep.
+polar ball, whose H-description is the vrep.  A listed functional is a facet
+exactly when its tight vertex set is nonempty and strictly inside no other
+signed functional's tight set; no rank is taken to find facets.
 
 Symmetry is exploited throughout: only one representative per antipodal pair
 is stored, with the canonical sign making the first nonzero coordinate
@@ -47,7 +49,8 @@ class Ball:
 
     Invariants once completed: both reps present, minimal, canonically
     ordered, and describing the same centrally symmetric full-dimensional
-    polytope.
+    polytope.  Only a ball that complete_representations returns is marked
+    canonical.
     """
 
     dim: int
@@ -65,23 +68,19 @@ class Ball:
     def signed_vrep(self) -> list[QVec]:
         if self.vrep is None:
             raise VerificationError("ball has no vrep")
-        out: list[QVec] = []
-        for v in self.vrep:
-            out.append(v)
-            out.append(-v)
-        return out
+        return [s for v in self.vrep for s in (v, -v)]
 
     def signed_hrep(self) -> list[QVec]:
         if self.hrep is None:
             raise VerificationError("ball has no hrep")
-        out: list[QVec] = []
-        for phi in self.hrep:
-            out.append(phi)
-            out.append(-phi)
-        return out
+        return [s for phi in self.hrep for s in (phi, -phi)]
 
     def is_complete(self) -> bool:
         return self.vrep is not None and self.hrep is not None
+
+    def is_canonical(self) -> bool:
+        """True when complete_representations returned this very ball."""
+        return "_canonical" in vars(self)
 
 
 def _check_cap(dim: int, dim_cap: int) -> None:
@@ -111,10 +110,7 @@ def _enumerate_vertices(
     base = QMat.from_rows([functionals[i].entries for i in chosen], cols=dim)
     base_inv = invert(base)
 
-    signed: list[QVec] = []
-    for phi in functionals:
-        signed.append(phi)
-        signed.append(-phi)
+    signed = [s for phi in functionals for s in (phi, -phi)]
 
     # Initial vertices: base_inv applied to every sign vector s, where the
     # chosen row i is tight with sign s_i (+phi_k at bit 2k, -phi_k at 2k+1).
@@ -174,29 +170,35 @@ def _enumerate_vertices(
     return vertices, masks
 
 
-def _affine_rank(points: list[QVec]) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [(p - base).entries for p in points[1:]]
-    return rank(QMat.from_rows(diffs, cols=base.dim))
-
-
 def _vertices_and_facets(
     functionals: tuple[QVec, ...], dim: int
 ) -> tuple[tuple[QVec, ...], tuple[QVec, ...]]:
     """Canonical vertices and facets of {x : |phi(x)| <= 1}.
 
-    Takes canonical functionals; a functional is a facet iff its tight
-    vertices have affine rank dim-1.
+    Takes canonical functionals.  Each signed functional is tight on a face;
+    every proper face lies in a facet, and every facet is listed, so a
+    functional is a facet exactly when its tight vertex set is nonempty and
+    strictly inside no other signed functional's tight set.  Both signs are
+    compared, so the rule needs no argument about the canonical sign.
     """
     vertices, masks = _enumerate_vertices(functionals, dim)
+    # tight[c] has bit i set when signed constraint c is tight at vertex i.
+    tight = [0] * (2 * len(functionals))
+    for i, m in enumerate(masks):
+        while m:
+            tight[(m & -m).bit_length() - 1] |= 1 << i
+            m &= m - 1
     facets = []
     for k, phi in enumerate(functionals):
-        tight = [v for v, m in zip(vertices, masks) if (m >> (2 * k)) & 1]
-        if _affine_rank(tight) == dim - 1:
+        own = tight[2 * k]
+        if own and not any(own & t == own and own != t for t in tight):
             facets.append(phi)
     return canon_set(vertices), tuple(facets)
+
+
+def _canonical(ball: Ball) -> Ball:
+    object.__setattr__(ball, "_canonical", True)
+    return ball
 
 
 def complete_representations(ball: Ball, dim_cap: int = DIM_CAP) -> Ball:
@@ -205,22 +207,24 @@ def complete_representations(ball: Ball, dim_cap: int = DIM_CAP) -> Ball:
     H -> V is vertex enumeration of the hrep; V -> H is the same routine run
     on the polar, whose H-description is the generators: the polar's
     vertices are the ball's facets and its facets the ball's vertices.
-    Idempotent.  Raises NotANorm when the data does not describe a norm and
-    CapExceeded past the dimension cap.
+    Idempotent; marks the result canonical.  Raises NotANorm when the data
+    does not describe a norm and CapExceeded past the dimension cap.
     """
     _check_cap(ball.dim, dim_cap)
     dim = ball.dim
     if dim == 0:
-        return Ball(0, (), ())
+        return _canonical(Ball(0, (), ()))
     if ball.vrep is None and ball.hrep is None:
         raise NotANorm("ball has neither representation")
     if ball.vrep is None:
-        return Ball(dim, *_vertices_and_facets(canon_set(ball.hrep), dim))
+        return _canonical(Ball(dim, *_vertices_and_facets(canon_set(ball.hrep), dim)))
 
     gens = canon_set(ball.vrep)
-    if rank(QMat.from_rows([g.entries for g in gens], cols=dim)) < dim:
-        raise NotANorm("vertices do not span; the ball is degenerate")
-    hrep, vrep = _vertices_and_facets(gens, dim)
+    try:
+        hrep, vrep = _vertices_and_facets(gens, dim)
+    except NotANorm:
+        # The polar is unbounded exactly when the generators do not span.
+        raise NotANorm("vertices do not span; the ball is degenerate") from None
     if ball.hrep is not None:
         # Mutual containment against the declared hrep.  Every generator
         # must satisfy it; and the declared region lies inside the hull
@@ -232,7 +236,7 @@ def complete_representations(ball: Ball, dim_cap: int = DIM_CAP) -> Ball:
                 raise NotANorm("vrep point violates declared hrep")
         if not set(hrep) <= set(declared):
             raise NotANorm("declared hrep region is larger than the hull")
-    return Ball(dim, vrep, hrep)
+    return _canonical(Ball(dim, vrep, hrep))
 
 
 def gauge_vrep(ball: Ball, point: QVec) -> Fraction:
@@ -276,8 +280,6 @@ def image_ball(ball: Ball, matrix: QMat, dim_cap: int = DIM_CAP) -> Ball:
     if matrix.cols != ball.dim:
         raise DimensionMismatch(f"matrix cols {matrix.cols} != ball dim {ball.dim}")
     _check_cap(matrix.rows, dim_cap)
-    if matrix.rows == 0:
-        return Ball(0, (), ())
     if rank(matrix) < matrix.rows:
         raise NotANorm("matrix is not surjective; image ball is degenerate")
     images = [matrix.apply(v) for v in ball.signed_vrep()]
@@ -299,6 +301,4 @@ def symmetric_hull(dim: int, parts: Sequence[Ball], dim_cap: int = DIM_CAP) -> B
         if part.vrep is None:
             raise ValueError("symmetric_hull needs vreps")
         gens.extend(part.vrep)
-    if dim == 0:
-        return Ball(0, (), ())
     return complete_representations(Ball.from_vrep(dim, gens), dim_cap=dim_cap)

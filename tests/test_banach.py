@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import coset_min_norm, sphere_min_by_facet_lp
+from polyban import banach, exactlin, polytope
 from polyban.banach import (
     EPS,
     ISOMETRIC,
@@ -30,7 +31,7 @@ from polyban.banach import (
     space_from_vrep,
     zero_space,
 )
-from polyban.errors import DimensionMismatch, PreconditionError
+from polyban.errors import DimensionMismatch, NotANorm, PreconditionError
 from polyban.exactlin import QMat, QVec, rank
 from polyban.polytope import Ball
 
@@ -69,6 +70,19 @@ class TestSpace:
 
     def test_canonical_equality(self):
         assert l1_space(2) == space_from_vrep(2, [QVec.of([0, -1]), QVec.of([1, 0])])
+
+    def test_hand_built_ball_stored_canonical(self):
+        # (1/2, 1/2) is no vertex of the l1 ball and (1, 0) no facet of it.
+        X = l1_space(2)
+        half = QVec.of([Fraction(1, 2), Fraction(1, 2)])
+        padded = Space(2, Ball(2, X.ball.vrep + (half,), X.ball.hrep + (QVec.of([1, 0]),)))
+        assert padded == X
+        assert is_isometric(LinMap.identity(padded))
+        assert is_isometric(LinMap(QMat.identity(2), padded, X))
+
+    def test_inconsistent_hand_built_ball_rejected(self):
+        with pytest.raises(NotANorm):
+            Space(2, Ball(2, l1_space(2).ball.vrep, linf_space(2).ball.hrep))
 
 
 class TestNormEval:
@@ -159,13 +173,25 @@ class TestLowerIsometryBound:
     def test_matches_primal_facet_lp(self, data):
         dom_dim = data.draw(st.integers(1, 3))
         domain = data.draw(vrep_spaces(dom_dim))
-        kind = data.draw(st.sampled_from(["random", "rank-deficient", "l1-pad"]))
+        kind = data.draw(st.sampled_from(["random", "rank-deficient", "l1-pad", "pullback"]))
         if kind == "l1-pad":
             # inl into X (+)_1 W, scaled: isometric exactly at scale 1.
             extra = data.draw(st.integers(0, 4 - dom_dim))
             codomain, T, _ = l1_sum(domain, data.draw(vrep_spaces(extra)))
             scale = data.draw(st.sampled_from(["1", "1/2", "3/2"]))
             T = LinMap(T.matrix.scale(scale), domain, codomain)
+        elif kind == "pullback":
+            # B is isometric from its pullback space; so is B with one entry
+            # moved only by chance.
+            codomain = data.draw(vrep_spaces(data.draw(st.integers(dom_dim, 4))))
+            rows = data.draw(matrices(codomain.dim, dom_dim))
+            assume(rank(QMat.from_rows(rows, cols=dom_dim)) == dom_dim)
+            domain = pullback_space(QMat.from_rows(rows, cols=dom_dim), codomain)
+            if data.draw(st.booleans()):
+                r = data.draw(st.integers(0, codomain.dim - 1))
+                c = data.draw(st.integers(0, dom_dim - 1))
+                rows[r][c] += data.draw(st.sampled_from([Fraction(1, 2), Fraction(-1)]))
+            T = lmap(rows, domain, codomain)
         else:
             codomain = data.draw(vrep_spaces(data.draw(st.integers(1, 4))))
             rows = data.draw(matrices(codomain.dim, dom_dim))
@@ -176,6 +202,31 @@ class TestLowerIsometryBound:
         expected = sphere_min_by_facet_lp(T.matrix, domain, codomain)
         assert lower_isometry_bound(T) == expected
         assert is_isometric(T) == (operator_norm(T) == 1 and expected == 1)
+        if rank(T.matrix) == dom_dim:
+            # The definition the facet lemma replaced: T pulls the codomain
+            # ball back onto the domain ball.
+            pulled = pullback_space(T.matrix, codomain).ball
+            assert is_isometric(T) == (pulled == domain.ball)
+
+    def test_isometry_certified_without_completion_or_rank(self, monkeypatch):
+        X = l1_space(2)
+        maps = [
+            LinMap.identity(X),
+            lmap([[1, 1], [1, -1]], X, linf_space(2)),
+            l1_sum(X, line())[1],
+            lmap([[1, 0]], linf_space(2), line()),
+            lmap([[2, 0], [0, 1]], X, X),
+            LinMap.zero(zero_space(), line()),
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("is_isometric must not complete a ball or take a rank")
+
+        for module in (banach, polytope, exactlin):
+            for name in ("complete_representations", "pullback_space", "rank"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        assert [is_isometric(T) for T in maps] == [True, True, True, False, False, True]
 
 
 class TestClassifyEmbedding:

@@ -400,6 +400,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[" * 200000, "input.json: JSON nested too deeply"),
+            ('{"dim": 1, "vrep": [[' + "7" * 5000 + "]]}", "input.json: an integer of more than"),
+            ('{"dim": 1, "vrep": [["1/' + "7" * 5000 + '"]]}', "not a rational: an integer of more than"),
+        ],
+        ids=["deep-nesting", "long-json-number", "long-rational-string"],
+    )
+    def test_interpreter_limits_are_input_errors(self, tmp_path, capsys, text, named):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["space-check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
     def test_missing_field_named(self, work, tmp_path, capsys):
         path = tmp_path / "empty.json"
         save_json(str(path), {})

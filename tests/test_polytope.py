@@ -1,5 +1,6 @@
 """Double description engine: conversions, minimality, gauge agreement."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,27 @@ class TestCanon:
         assert out == vecs((0, 1), (1, 0))
 
 
+@st.composite
+def touching_rows(draw):
+    """Cube or cross-polytope rows plus redundant rows that touch the ball.
+
+    A row of l1 norm 1 is valid on the cube, and a row of sup norm 1 on the
+    cross-polytope; each is tight on a face, mostly one below a facet, so
+    the hrep is not simple.  As a vrep, neither is the polar's.
+    """
+    cube = draw(st.booleans())
+    dim = draw(st.integers(2, 5 if cube else 3))
+    if cube:
+        rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    else:
+        rows = [[1, *signs] for signs in itertools.product([1, -1], repeat=dim - 1)]
+    sign_rows = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim).filter(any)
+    for row in draw(st.lists(sign_rows, min_size=1, max_size=2 if dim < 5 else 1)):
+        scale = sum(map(abs, row)) if cube else 1
+        rows.append([Fraction(x, scale) for x in row])
+    return rows
+
+
 class TestConversions:
     def test_l1_ball_to_hrep(self):
         ball = complete_from_vrep(2, ((1, 0), (0, 1)))
@@ -81,20 +103,23 @@ class TestConversions:
         twice = complete_representations(once)
         assert once == twice
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
-        st.integers(1, 4).flatmap(
+        st.integers(1, 5).flatmap(
             lambda dim: st.tuples(
                 st.lists(
                     st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
                     min_size=dim,
-                    max_size=dim + 3,
+                    # The oracle tries every dim-subset of the signed rows.
+                    max_size=dim + 3 if dim < 5 else dim + 1,
                 ),
                 st.none() | st.fractions(-3, 3, max_denominator=4),
             )
-        ),
+        )
+        | st.tuples(touching_rows(), st.none()),
     )
     @example(([[1, 2], [3, -1], [1, 0], [0, 1]], None))
+    @example(([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1], [1, 0, 0], [0, 1, 1]], None))
     def test_matches_brute_force_vertices(self, drawn):
         rows, multiple = drawn
         dim = len(rows[0])
@@ -124,7 +149,7 @@ class TestValidation:
             complete_from_hrep(2, ((1, 0),))
 
     def test_degenerate_vrep_rejected(self):
-        with pytest.raises(NotANorm):
+        with pytest.raises(NotANorm, match="vertices do not span; the ball is degenerate"):
             complete_from_vrep(2, ((1, 1), (2, 2)))
 
     def test_inconsistent_pair_rejected(self):
