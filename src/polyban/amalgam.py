@@ -36,7 +36,7 @@ from .banach import (
 )
 from .errors import DimensionMismatch, PreconditionError, VerificationError
 from .exactlin import QMat, QVec, _rref, block_diag, rat, solve_linear
-from .polytope import DIM_CAP, Ball, canon_set, gauge_vrep, symmetric_hull
+from .polytope import Ball, canon_set, gauge_vrep, symmetric_hull
 from .report import Check, certify, check_eq, check_le, check_true
 
 
@@ -67,7 +67,7 @@ class SquareSumResult:
     checks: tuple[Check, ...]
 
 
-def pushout(i: LinMap, f: LinMap, dim_cap: int = DIM_CAP) -> PushoutResult:
+def pushout(i: LinMap, f: LinMap) -> PushoutResult:
     """Amalgam of i: Z->X and f: Z->Y over their common domain.
 
     W is the quotient of the l1 sum by Delta = span{(i(z), -f(z))}.  The
@@ -82,7 +82,7 @@ def pushout(i: LinMap, f: LinMap, dim_cap: int = DIM_CAP) -> PushoutResult:
     if norm_f > 1:
         raise PreconditionError(f"operator norm of f is {norm_f} > 1")
     X, Y, Z = i.codomain, f.codomain, i.domain
-    total, inl, inr = l1_sum(X, Y, dim_cap)
+    total, inl, inr = l1_sum(X, Y)
     raw = [
         i(QVec.unit(Z.dim, k)).concat(-f(QVec.unit(Z.dim, k)))
         for k in range(Z.dim)
@@ -93,7 +93,7 @@ def pushout(i: LinMap, f: LinMap, dim_cap: int = DIM_CAP) -> PushoutResult:
         delta = tuple(QVec.of(row) for row in reduced)
     else:
         delta = ()
-    W, q = quotient(total, delta, dim_cap)
+    W, q = quotient(total, delta)
     g = q.compose(inl)
     j = q.compose(inr)
     checks = [
@@ -157,7 +157,7 @@ def _correction_generators(f: LinMap, eps: Fraction) -> list[QVec]:
     return out
 
 
-def correction_sum(f: LinMap, eps, dim_cap: int = DIM_CAP) -> CorrectionResult:
+def correction_sum(f: LinMap, eps) -> CorrectionResult:
     """Initial object absorbing f's defect at cost eps.
 
     Accepts any nonexpansive f; the exact isometry checks reject pairs
@@ -176,7 +176,7 @@ def correction_sum(f: LinMap, eps, dim_cap: int = DIM_CAP) -> CorrectionResult:
     part_x = Ball(dim, canon_set([v.concat(zero_y) for v in X.ball.vrep]), None)
     part_y = Ball(dim, canon_set([zero_x.concat(w) for w in Y.ball.vrep]), None)
     part_g = Ball(dim, canon_set(_correction_generators(f, eps)), None)
-    Z0 = Space(dim, symmetric_hull(dim, [part_x, part_y, part_g], dim_cap))
+    Z0 = Space(dim, symmetric_hull(dim, [part_x, part_y, part_g]))
     iX = LinMap(QMat.identity(X.dim).vstack(QMat.zeros(Y.dim, X.dim)), X, Z0)
     jY = LinMap(QMat.zeros(X.dim, Y.dim).vstack(QMat.identity(Y.dim)), Y, Z0)
     checks = certify(
@@ -238,13 +238,7 @@ def mediating_map(c: CorrectionResult, i: LinMap, j: LinMap) -> LinMap:
 
 
 def square_sum(
-    T0: LinMap,
-    T1: LinMap,
-    f0: LinMap,
-    f1: LinMap,
-    eps,
-    delta,
-    dim_cap: int = DIM_CAP,
+    T0: LinMap, T1: LinMap, f0: LinMap, f1: LinMap, eps, delta
 ) -> SquareSumResult:
     """Block sum phi = T0 (+) T1 between correction sums, exactly commuting.
 
@@ -275,8 +269,8 @@ def square_sum(
     defect = map_distance(f1.compose(T0), T1.compose(f0))
     if defect > delta:
         raise PreconditionError(f"square defect {defect} exceeds delta {delta}")
-    source = correction_sum(f0, eps + delta, dim_cap)
-    target = correction_sum(f1, eps, dim_cap)
+    source = correction_sum(f0, eps + delta)
+    target = correction_sum(f1, eps)
     phi = LinMap(block_diag(T0.matrix, T1.matrix), source.Z0, target.Z0)
     checks = certify(
         check_le("norm(Phi) <= 1", operator_norm(phi), Fraction(1)),

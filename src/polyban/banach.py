@@ -20,13 +20,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError
 from .exactlin import QMat, QVec, _rref, rank, rat
-from .polytope import (
-    DIM_CAP,
-    Ball,
-    canon_sign,
-    complete_representations,
-    image_ball,
-)
+from .polytope import Ball, canon_sign, complete_representations, image_ball
 
 ISOMETRIC = "isometric"
 STRICT_EPS = "strict-eps"
@@ -50,7 +44,7 @@ class Space:
         if not self.ball.is_complete():
             raise PreconditionError("space needs a completed ball")
         if not self.ball.is_canonical():
-            canonical = complete_representations(self.ball, self.dim)
+            canonical = complete_representations(self.ball)
             object.__setattr__(self, "ball", canonical)
 
 
@@ -92,18 +86,12 @@ class EmbeddingClass:
     verdict: str
 
 
-def space_from_vrep(
-    dim: int, vectors: Sequence[QVec], dim_cap: int = DIM_CAP
-) -> Space:
-    return Space(dim, complete_representations(Ball.from_vrep(dim, vectors), dim_cap))
+def space_from_vrep(dim: int, vectors: Sequence[QVec]) -> Space:
+    return Space(dim, complete_representations(Ball.from_vrep(dim, vectors)))
 
 
-def space_from_hrep(
-    dim: int, functionals: Sequence[QVec], dim_cap: int = DIM_CAP
-) -> Space:
-    return Space(
-        dim, complete_representations(Ball.from_hrep(dim, functionals), dim_cap)
-    )
+def space_from_hrep(dim: int, functionals: Sequence[QVec]) -> Space:
+    return Space(dim, complete_representations(Ball.from_hrep(dim, functionals)))
 
 
 def zero_space() -> Space:
@@ -116,12 +104,12 @@ def line() -> Space:
     return Space(1, Ball(1, one, one))
 
 
-def linf_space(dim: int, dim_cap: int = DIM_CAP) -> Space:
-    return space_from_hrep(dim, [QVec.unit(dim, i) for i in range(dim)], dim_cap)
+def linf_space(dim: int) -> Space:
+    return space_from_hrep(dim, [QVec.unit(dim, i) for i in range(dim)])
 
 
-def l1_space(dim: int, dim_cap: int = DIM_CAP) -> Space:
-    return space_from_vrep(dim, [QVec.unit(dim, i) for i in range(dim)], dim_cap)
+def l1_space(dim: int) -> Space:
+    return space_from_vrep(dim, [QVec.unit(dim, i) for i in range(dim)])
 
 
 def norm_eval(space: Space, x: QVec) -> Fraction:
@@ -165,7 +153,7 @@ def lower_isometry_bound(T: LinMap) -> Fraction:
     if T.domain.dim == 0:
         return Fraction(1)
     try:
-        pullback = pullback_space(T.matrix, T.codomain, T.domain.dim).ball
+        pullback = pullback_space(T.matrix, T.codomain).ball
     except PreconditionError:
         return Fraction(0)
     return 1 / max(norm_eval(T.domain, w) for w in pullback.vrep)
@@ -210,7 +198,7 @@ def classify_embedding(T: LinMap, eps) -> EmbeddingClass:
     return EmbeddingClass(lower, upper, verdict)
 
 
-def l1_sum(X: Space, Y: Space, dim_cap: int = DIM_CAP):
+def l1_sum(X: Space, Y: Space):
     """Coproduct: ball hull of (vrep X x 0) and (0 x vrep Y).
 
     Returns (space, inl, inr); both injections are isometric.
@@ -219,7 +207,7 @@ def l1_sum(X: Space, Y: Space, dim_cap: int = DIM_CAP):
     zero_x = QVec.zero(X.dim)
     gens = [v.concat(zero_y) for v in X.ball.vrep]
     gens += [zero_x.concat(w) for w in Y.ball.vrep]
-    total = space_from_vrep(X.dim + Y.dim, gens, dim_cap)
+    total = space_from_vrep(X.dim + Y.dim, gens)
     inl = LinMap(QMat.identity(X.dim).vstack(QMat.zeros(Y.dim, X.dim)), X, total)
     inr = LinMap(QMat.zeros(X.dim, Y.dim).vstack(QMat.identity(Y.dim)), Y, total)
     return total, inl, inr
@@ -249,7 +237,7 @@ def quotient_matrix(dim: int, kernel: Sequence[QVec]) -> QMat:
     return QMat.from_rows(rows, cols=dim)
 
 
-def quotient(X: Space, kernel: Sequence[QVec], dim_cap: int = DIM_CAP):
+def quotient(X: Space, kernel: Sequence[QVec]):
     """Quotient space and map; the quotient ball is the image of the ball."""
     for k in kernel:
         if k.dim != X.dim:
@@ -257,12 +245,12 @@ def quotient(X: Space, kernel: Sequence[QVec], dim_cap: int = DIM_CAP):
     q_mat = quotient_matrix(X.dim, kernel)
     if not kernel:
         return X, LinMap.identity(X)
-    ball = image_ball(X.ball, q_mat, dim_cap)
+    ball = image_ball(X.ball, q_mat)
     target = Space(q_mat.rows, ball)
     return target, LinMap(q_mat, X, target)
 
 
-def pullback_space(B: QMat, Y: Space, dim_cap: int = DIM_CAP) -> Space:
+def pullback_space(B: QMat, Y: Space) -> Space:
     """Space on Q^k carrying the norm x -> ||B x||_Y, for injective B."""
     if B.rows != Y.dim:
         raise DimensionMismatch("matrix rows must match the ambient dimension")
@@ -270,4 +258,4 @@ def pullback_space(B: QMat, Y: Space, dim_cap: int = DIM_CAP) -> Space:
     if rank(B) < k:
         raise PreconditionError("pullback needs an injective matrix")
     bt = B.transpose()
-    return space_from_hrep(k, [bt.apply(phi) for phi in Y.ball.hrep], dim_cap)
+    return space_from_hrep(k, [bt.apply(phi) for phi in Y.ball.hrep])

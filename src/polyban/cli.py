@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -23,6 +24,7 @@ from .banach import LinMap, Space, dual_norm_eval, norm_eval, operator_norm
 from .errors import ParseError, PolybanError, VerificationError
 from .exactlin import rat, rat_str
 from .fraisse import (
+    DEFAULT_DIM_CAP,
     Chain,
     EpsSchedule,
     OperatorSquare,
@@ -51,7 +53,7 @@ from .io import (
     vec_from_json,
     vec_to_json,
 )
-from .polytope import DIM_CAP, complete_representations
+from .polytope import complete_representations
 from .rationalize import repair_operator
 from .report import check_eq, check_le, check_true, report_doc
 
@@ -62,10 +64,23 @@ def _load_map(doc, key: Optional[str] = None) -> LinMap:
     return linmap_from_json(obj, table)
 
 
-def _load_chain(path: str) -> Chain:
+@contextmanager
+def _reading(path: str):
+    """Load a JSON file for the block to parse.  An input error raised in
+    the block is prefixed with the path, as load_json's own errors are."""
     doc = load_json(path)
-    obj = doc.get("chain", doc) if isinstance(doc, dict) else doc
-    return chain_from_json(obj)
+    try:
+        yield doc
+    except VerificationError:
+        raise
+    except PolybanError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _load_chain(path: str) -> Chain:
+    with _reading(path) as doc:
+        obj = doc.get("chain", doc) if isinstance(doc, dict) else doc
+        return chain_from_json(obj)
 
 
 def _stage(chain: Chain, label: str, n):
@@ -87,12 +102,12 @@ def _square_record(sq: OperatorSquare) -> dict:
 
 
 def cmd_space_check(args) -> dict:
-    doc = load_json(args.input)
-    if isinstance(doc, dict) and "ball" in doc:
-        space = space_from_json(doc)
-    else:
-        ball = complete_representations(ball_from_json(doc))
-        space = Space(ball.dim, ball)
+    with _reading(args.input) as doc:
+        if isinstance(doc, dict) and "ball" in doc:
+            space = space_from_json(doc)
+        else:
+            ball = complete_representations(ball_from_json(doc))
+            space = Space(ball.dim, ball)
     checks = [
         check_true(
             "ball completes to a dual vertex/facet pair",
@@ -113,8 +128,8 @@ def cmd_space_check(args) -> dict:
 
 
 def cmd_op_norm(args) -> dict:
-    doc = load_json(args.input)
-    T = _load_map(doc, "map" if isinstance(doc, dict) and "map" in doc else None)
+    with _reading(args.input) as doc:
+        T = _load_map(doc, "map" if isinstance(doc, dict) and "map" in doc else None)
     norm = operator_norm(T)
     witness = None
     if T.domain.dim > 0:
@@ -131,10 +146,10 @@ def cmd_op_norm(args) -> dict:
 
 
 def cmd_amalgam_pushout(args) -> dict:
-    doc = load_json(args.input)
-    i = _load_map(doc, "i")
-    f = _load_map(doc, "f")
-    res = pushout(i, f, args.dim_cap)
+    with _reading(args.input) as doc:
+        i = _load_map(doc, "i")
+        f = _load_map(doc, "f")
+    res = pushout(i, f)
     return report_doc(
         res.checks,
         W=space_to_json(res.W),
@@ -144,9 +159,9 @@ def cmd_amalgam_pushout(args) -> dict:
 
 
 def cmd_amalgam_correct(args) -> dict:
-    doc = load_json(args.input)
-    f = _load_map(doc, "f" if isinstance(doc, dict) and "f" in doc else None)
-    c = correction_sum(f, args.eps, args.dim_cap)
+    with _reading(args.input) as doc:
+        f = _load_map(doc, "f" if isinstance(doc, dict) and "f" in doc else None)
+    c = correction_sum(f, args.eps)
     return report_doc(
         c.checks,
         Z0=space_to_json(c.Z0),
@@ -157,21 +172,21 @@ def cmd_amalgam_correct(args) -> dict:
 
 
 def cmd_square_sum(args) -> dict:
-    doc = load_json(args.input)
-    T0 = _load_map(doc, "T0")
-    T1 = _load_map(doc, "T1")
-    f0 = _load_map(doc, "f0")
-    f1 = _load_map(doc, "f1")
-    res = square_sum(T0, T1, f0, f1, args.eps, args.delta, args.dim_cap)
+    with _reading(args.input) as doc:
+        T0 = _load_map(doc, "T0")
+        T1 = _load_map(doc, "T1")
+        f0 = _load_map(doc, "f0")
+        f1 = _load_map(doc, "f1")
+    res = square_sum(T0, T1, f0, f1, args.eps, args.delta)
     return report_doc(res.checks, Phi=linmap_to_json(res.phi))
 
 
 def cmd_repair(args) -> dict:
-    doc = load_json(args.input)
-    T = _load_map(doc, "T")
-    i0 = _load_map(doc, "i0")
-    j0 = _load_map(doc, "j0")
-    rx, ry, t_prime, checks = repair_operator(T, i0, j0, args.delta, args.dim_cap)
+    with _reading(args.input) as doc:
+        T = _load_map(doc, "T")
+        i0 = _load_map(doc, "i0")
+        j0 = _load_map(doc, "j0")
+    rx, ry, t_prime, checks = repair_operator(T, i0, j0, args.delta)
     return report_doc(
         checks,
         T_prime=linmap_to_json(t_prime),
@@ -202,18 +217,18 @@ def cmd_chain_build(args) -> dict:
 
 def cmd_g_witness(args) -> dict:
     chain = _load_chain(args.chain)
-    doc = load_json(args.input)
-    T = _load_map(doc, "T")
-    x0incl = _load_map(doc, "X0incl")
-    y0incl = _load_map(doc, "Y0incl")
-    seed_doc = require_field(doc, "seed")
-    stage = _stage(chain, "seed stage", require_field(seed_doc, "stage"))
-    X0, Y0 = x0incl.domain, y0incl.domain
-    S, i0, i1 = (require_field(seed_doc, name) for name in ("S", "i0", "i1"))
-    S = LinMap(mat_from_json(S, Y0.dim, X0.dim), X0, Y0)
-    i0 = LinMap(mat_from_json(i0, stage.U.dim, X0.dim), X0, stage.U)
-    i1 = LinMap(mat_from_json(i1, stage.V.dim, Y0.dim), Y0, stage.V)
-    seed = make_square(S, stage.F, i0, i1, args.eps)
+    with _reading(args.input) as doc:
+        T = _load_map(doc, "T")
+        x0incl = _load_map(doc, "X0incl")
+        y0incl = _load_map(doc, "Y0incl")
+        seed_doc = require_field(doc, "seed")
+        stage = _stage(chain, "seed stage", require_field(seed_doc, "stage"))
+        X0, Y0 = x0incl.domain, y0incl.domain
+        S, i0, i1 = (require_field(seed_doc, name) for name in ("S", "i0", "i1"))
+        S = LinMap(mat_from_json(S, Y0.dim, X0.dim), X0, Y0)
+        i0 = LinMap(mat_from_json(i0, stage.U.dim, X0.dim), X0, stage.U)
+        i1 = LinMap(mat_from_json(i1, stage.V.dim, Y0.dim), Y0, stage.V)
+        seed = make_square(S, stage.F, i0, i1, args.eps)
     i_prime, j_prime, m, extended, checks = g_witness(
         chain, T, x0incl, y0incl, seed, args.eps
     )
@@ -228,8 +243,8 @@ def cmd_g_witness(args) -> dict:
 
 def cmd_embed(args) -> dict:
     chain = _load_chain(args.chain)
-    doc = load_json(args.input)
-    T = _load_map(doc, "T")
+    with _reading(args.input) as doc:
+        T = _load_map(doc, "T")
     schedule = EpsSchedule.dyadic(args.depth)
     squares, checks = embed_operator(chain, T, schedule, args.depth)
     return report_doc(checks, squares=[_square_record(sq) for sq in squares])
@@ -238,14 +253,14 @@ def cmd_embed(args) -> dict:
 def cmd_bnf(args) -> dict:
     A = _load_chain(args.chain_a)
     B = _load_chain(args.chain_b)
-    doc = load_json(args.input)
-    sa = _stage(A, "stage_a", require_field(doc, "stage_a"))
-    sb = _stage(B, "stage_b", require_field(doc, "stage_b"))
-    i0, i1 = require_field(doc, "i0"), require_field(doc, "i1")
-    i0 = LinMap(mat_from_json(i0, sb.U.dim, sa.U.dim), sa.U, sb.U)
-    i1 = LinMap(mat_from_json(i1, sb.V.dim, sa.V.dim), sa.V, sb.V)
-    seed_eps = rat(doc["eps"]) if "eps" in doc else args.eps
-    seed = make_square(sa.F, sb.F, i0, i1, seed_eps)
+    with _reading(args.input) as doc:
+        sa = _stage(A, "stage_a", require_field(doc, "stage_a"))
+        sb = _stage(B, "stage_b", require_field(doc, "stage_b"))
+        i0, i1 = require_field(doc, "i0"), require_field(doc, "i1")
+        i0 = LinMap(mat_from_json(i0, sb.U.dim, sa.U.dim), sa.U, sb.U)
+        i1 = LinMap(mat_from_json(i1, sb.V.dim, sa.V.dim), sa.V, sb.V)
+        seed_eps = rat(doc["eps"]) if "eps" in doc else args.eps
+        seed = make_square(sa.F, sb.F, i0, i1, seed_eps)
     transcript = back_and_forth(A, B, seed, args.eps, args.depth)
     # Schedule values eps_0 .. eps_{depth+1} as recorded on the squares:
     # the n-th forth square carries eps_{n+1}, the last back square
@@ -285,9 +300,9 @@ def cmd_bnf(args) -> dict:
 
 def cmd_kernel(args) -> dict:
     chain = _load_chain(args.chain)
-    doc = load_json(args.input)
-    x0incl = _load_map(doc, "X0incl")
-    i = _load_map(doc, "i")
+    with _reading(args.input) as doc:
+        x0incl = _load_map(doc, "X0incl")
+        i = _load_map(doc, "i")
     i_prime, m, extended, checks = kernel_witness(chain, x0incl, i, args.eps)
     return report_doc(
         checks,
@@ -299,8 +314,8 @@ def cmd_kernel(args) -> dict:
 
 def cmd_surject(args) -> dict:
     chain = _load_chain(args.chain)
-    doc = load_json(args.input)
-    v = vec_from_json(require_field(doc, "v"))
+    with _reading(args.input) as doc:
+        v = vec_from_json(require_field(doc, "v"))
     m, u, extended, exact = surjectivity_witness(chain, v)
     target = extended.stages[m]
     checks = [
@@ -341,27 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("amalgam-pushout", cmd_amalgam_pushout)
     p.add_argument("input", help="JSON file with maps i and f")
-    p.add_argument("--dim-cap", type=int, default=DIM_CAP)
 
     p = add("amalgam-correct", cmd_amalgam_correct)
     p.add_argument("input", help="JSON file with the map f")
     p.add_argument("--eps", type=rat, required=True)
-    p.add_argument("--dim-cap", type=int, default=DIM_CAP)
 
     p = add("square-sum", cmd_square_sum)
     p.add_argument("input", help="JSON file with T0, T1, f0, f1")
     p.add_argument("--eps", type=rat, required=True)
     p.add_argument("--delta", type=rat, required=True)
-    p.add_argument("--dim-cap", type=int, default=DIM_CAP)
 
     p = add("repair", cmd_repair)
     p.add_argument("input", help="JSON file with T and the pins i0, j0")
     p.add_argument("--delta", type=rat, required=True)
-    p.add_argument("--dim-cap", type=int, default=DIM_CAP)
 
     p = add("chain-build", cmd_chain_build)
     p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--dim-cap", type=int, default=6)
+    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("g-witness", cmd_g_witness)

@@ -229,9 +229,7 @@ def solve_through(spanning: QMat, images: QMat, domain: Space, codomain: Space) 
     return out
 
 
-def realize_over(
-    prev: Space, via: LinMap, ext: LinMap, dim_cap: int = DIM_CAP
-) -> tuple[Space, LinMap, LinMap]:
+def realize_over(prev: Space, via: LinMap, ext: LinMap) -> tuple[Space, LinMap, LinMap]:
     """Amalgamate ext's codomain onto prev over the common subspace.
 
     via: Z -> prev and ext: Z -> X are isometric.  Returns (N, inclP, emb)
@@ -248,8 +246,6 @@ def realize_over(
         raise DimensionMismatch("via and ext need a common domain")
     X = ext.codomain
     new_dim = prev.dim + X.dim - Z.dim
-    if new_dim > dim_cap:
-        raise CapExceeded(f"amalgam dimension {new_dim} exceeds cap {dim_cap}")
     # Quotient of the l1 sum by the antidiagonal; the sum ball itself is
     # never completed since only its generators matter for the image.
     sum_dim = prev.dim + X.dim
@@ -288,7 +284,7 @@ def realize_over(
         raise VerificationError("amalgam basis construction failed")
     change = invert(basis)
     ball_gens = [change.apply(q_mat.apply(v)) for v in gens]
-    N = Space(w_dim, complete_representations(Ball.from_vrep(w_dim, ball_gens), dim_cap))
+    N = Space(w_dim, complete_representations(Ball.from_vrep(w_dim, ball_gens)))
     inclP = LinMap(_pad_matrix(prev.dim, w_dim), prev, N)
     emb = LinMap(change @ j_mat, X, N)
     if emb.matrix @ ext.matrix != inclP.matrix @ via.matrix:
@@ -435,8 +431,8 @@ def _step_realize(
         raise CapExceeded(
             f"realization needs dims ({new_u}, {new_v}) beyond cap {cap}"
         )
-    U_new, inclU, emb_x = realize_over(prev.U, via_u, task.i, cap)
-    V_new, inclV, emb_y = realize_over(prev.V, via_v, task.j, cap)
+    U_new, inclU, emb_x = realize_over(prev.U, via_u, task.i)
+    V_new, inclV, emb_y = realize_over(prev.V, via_v, task.j)
     spanning = inclU.matrix.hstack(emb_x.matrix)
     images = (inclV.matrix @ prev.F.matrix).hstack(emb_y.matrix @ task.T.matrix)
     F_new = solve_through(spanning, images, U_new, V_new)
@@ -458,16 +454,15 @@ def _step_realize(
     return new_chain, emb_x, emb_y
 
 
-def step_chain(chain: Chain, task: Task, cap_override: Optional[int] = None) -> Chain:
+def step_chain(chain: Chain, task: Task) -> Chain:
     """One construction step: realize the task if condition (*) holds, else
     repeat the previous stage; a cap overflow is logged, not raised."""
     if not chain.stages:
         raise PreconditionError("chain must contain stage 0")
     if not _star_condition(chain, task):
         return _repeat_stage(chain, task, "repeated")
-    cap = cap_override if cap_override is not None else chain.dim_cap
     try:
-        new_chain, _, _ = _step_realize(chain, task, cap)
+        new_chain, _, _ = _step_realize(chain, task, chain.dim_cap)
     except CapExceeded:
         return _repeat_stage(chain, task, "skipped:cap")
     return new_chain
@@ -507,15 +502,13 @@ def build_chain(stages: int, dim_cap: int = DEFAULT_DIM_CAP, seed: int = 0) -> C
 
 def ensure_dim(chain: Chain, min_dim: int) -> Chain:
     """Grow the newest stage to at least the given dimension on both sides
-    by gluing fresh zero-mapped lines; used for basis absorption."""
+    by gluing fresh zero-mapped lines, up to DIM_CAP; used for basis
+    absorption."""
     task = glue_task(0)
     while (
         chain.stages[-1].U.dim < min_dim or chain.stages[-1].V.dim < min_dim
     ):
-        grown = step_chain(chain, task, cap_override=DIM_CAP)
-        if not grown.log[-1].verdict.startswith("realized"):
-            raise CapExceeded("cannot grow stage dimension under the hard cap")
-        chain = grown
+        chain, _, _ = _step_realize(chain, task, DIM_CAP)
     return chain
 
 
@@ -572,8 +565,8 @@ def g_witness(
         i_prime, j_prime, m, extended = seed.i0, seed.i1, n, chain
     else:
         # Glue the extension onto the seed stage (one pushout per side).
-        U_prime, inclUn, i3 = realize_over(stage.U, seed.i0, X0incl, DIM_CAP)
-        V_prime, inclVn, j3 = realize_over(stage.V, seed.i1, Y0incl, DIM_CAP)
+        U_prime, inclUn, i3 = realize_over(stage.U, seed.i0, X0incl)
+        V_prime, inclVn, j3 = realize_over(stage.V, seed.i1, Y0incl)
         spanning = inclUn.matrix.hstack(i3.matrix)
         images = (inclVn.matrix @ stage.F.matrix).hstack(j3.matrix @ T.matrix)
         T3 = solve_through(spanning, images, U_prime, V_prime)
@@ -697,7 +690,7 @@ def space_witness(
             raise PreconditionError("i does not land in a stage domain")
         stage = chain.stages[n]
         reach = stage.F.compose(i)
-        po = pushout(X0incl, reach, DIM_CAP)
+        po = pushout(X0incl, reach)
         S0 = reach
         T_op = po.g
         Y0incl = po.j

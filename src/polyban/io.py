@@ -14,7 +14,7 @@ import json
 from typing import Optional
 
 from .banach import LinMap, Space, is_isometric, operator_norm
-from .errors import DimensionMismatch, ParseError, VerificationError
+from .errors import DimensionMismatch, ParseError
 from .exactlin import _TOO_LONG, QMat, QVec, rat, rat_str
 from .fraisse import Chain, ChainStage, LogEntry, pad_map
 from .polytope import Ball, complete_representations
@@ -150,15 +150,16 @@ def require_field(doc, name: str, what: str = "input document"):
     return doc[name]
 
 
-def _verify_stage(prev: ChainStage, stage: ChainStage) -> None:
-    """Full check of a loaded stage against its predecessor."""
+def _verify_stage(what: str, prev: ChainStage, stage: ChainStage) -> None:
+    """Full check of a loaded stage against its predecessor.  A chain file
+    is outside input, so a failed check rejects it as a ParseError."""
     norm_f = operator_norm(stage.F)
     if norm_f > 1:
-        raise VerificationError(f"stage operator has norm {norm_f} > 1")
+        raise ParseError(f"{what}: stage operator has norm {norm_f} > 1")
     if stage.F.matrix @ stage.inclU.matrix != stage.inclV.matrix @ prev.F.matrix:
-        raise VerificationError("stage does not extend the previous operator")
+        raise ParseError(f"{what}: stage does not extend the previous operator")
     if not is_isometric(stage.inclU) or not is_isometric(stage.inclV):
-        raise VerificationError("stage inclusion lost isometry")
+        raise ParseError(f"{what}: stage inclusion lost isometry")
 
 
 def chain_from_json(obj, verify: bool = True) -> Chain:
@@ -190,7 +191,7 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
             incl_u, incl_v = pad_map(prev.U, U), pad_map(prev.V, V)
         stage = ChainStage(U, V, F, incl_u, incl_v)
         if idx > 0 and verify:
-            _verify_stage(stages[-1], stage)
+            _verify_stage(what, stages[-1], stage)
         stages.append(stage)
         entry = record.get("log")
         if idx > 0:

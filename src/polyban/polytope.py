@@ -83,11 +83,6 @@ class Ball:
         return "_canonical" in vars(self)
 
 
-def _check_cap(dim: int, dim_cap: int) -> None:
-    if dim > dim_cap:
-        raise CapExceeded(f"dimension {dim} exceeds cap {dim_cap}")
-
-
 def _enumerate_vertices(
     functionals: Sequence[QVec], dim: int
 ) -> tuple[list[QVec], list[int]]:
@@ -201,17 +196,19 @@ def _canonical(ball: Ball) -> Ball:
     return ball
 
 
-def complete_representations(ball: Ball, dim_cap: int = DIM_CAP) -> Ball:
+def complete_representations(ball: Ball) -> Ball:
     """Fill in the missing representation and canonically minimalize both.
 
     H -> V is vertex enumeration of the hrep; V -> H is the same routine run
     on the polar, whose H-description is the generators: the polar's
     vertices are the ball's facets and its facets the ball's vertices.
     Idempotent; marks the result canonical.  Raises NotANorm when the data
-    does not describe a norm and CapExceeded past the dimension cap.
+    does not describe a norm and CapExceeded past DIM_CAP.  Every Space's
+    ball comes from here, so this is the one check of the hard cap.
     """
-    _check_cap(ball.dim, dim_cap)
     dim = ball.dim
+    if dim > DIM_CAP:
+        raise CapExceeded(f"dimension {dim} exceeds cap {DIM_CAP}")
     if dim == 0:
         return _canonical(Ball(0, (), ()))
     if ball.vrep is None and ball.hrep is None:
@@ -269,7 +266,7 @@ def gauge_vrep(ball: Ball, point: QVec) -> Fraction:
     return payload[0]
 
 
-def image_ball(ball: Ball, matrix: QMat, dim_cap: int = DIM_CAP) -> Ball:
+def image_ball(ball: Ball, matrix: QMat) -> Ball:
     """Ball of the pushforward norm: the image polytope A(B).
 
     Requires A surjective (rows = target dim = rank), otherwise the image is
@@ -279,21 +276,17 @@ def image_ball(ball: Ball, matrix: QMat, dim_cap: int = DIM_CAP) -> Ball:
         raise ValueError("image_ball needs a vrep")
     if matrix.cols != ball.dim:
         raise DimensionMismatch(f"matrix cols {matrix.cols} != ball dim {ball.dim}")
-    _check_cap(matrix.rows, dim_cap)
     if rank(matrix) < matrix.rows:
         raise NotANorm("matrix is not surjective; image ball is degenerate")
     images = [matrix.apply(v) for v in ball.signed_vrep()]
-    return complete_representations(
-        Ball.from_vrep(matrix.rows, images), dim_cap=dim_cap
-    )
+    return complete_representations(Ball.from_vrep(matrix.rows, images))
 
 
-def symmetric_hull(dim: int, parts: Sequence[Ball], dim_cap: int = DIM_CAP) -> Ball:
+def symmetric_hull(dim: int, parts: Sequence[Ball]) -> Ball:
     """Hull of the union of the parts' vreps (parts may be degenerate alone).
 
     The union must span; each part only contributes generators.
     """
-    _check_cap(dim, dim_cap)
     gens: list[QVec] = []
     for part in parts:
         if part.dim != dim:
@@ -301,4 +294,4 @@ def symmetric_hull(dim: int, parts: Sequence[Ball], dim_cap: int = DIM_CAP) -> B
         if part.vrep is None:
             raise ValueError("symmetric_hull needs vreps")
         gens.extend(part.vrep)
-    return complete_representations(Ball.from_vrep(dim, gens), dim_cap=dim_cap)
+    return complete_representations(Ball.from_vrep(dim, gens))

@@ -41,7 +41,7 @@ from .exactlin import (
     rat,
     solve_linear,
 )
-from .polytope import DIM_CAP, Ball, canon_set, symmetric_hull
+from .polytope import Ball, canon_set, symmetric_hull
 from .report import certify, check_le, check_true
 
 
@@ -102,9 +102,7 @@ def _check_equivalence(a: Space, b: Space, factor: Fraction) -> Fraction:
     return worst
 
 
-def repair_norm(
-    Y: Space, incl: LinMap, delta, dim_cap: int = DIM_CAP
-) -> NormRepair:
+def repair_norm(Y: Space, incl: LinMap, delta) -> NormRepair:
     """New norm on Y pinning the subspace exactly, (1 + delta)-close overall.
 
     The repaired facets are the exact-norm extensions of the subspace
@@ -124,7 +122,7 @@ def repair_norm(
     shrink = 1 / (1 + delta)
     functionals = [extend_functional(phi, incl) for phi in X.ball.hrep]
     functionals += [psi.scale(shrink) for psi in Y.ball.hrep]
-    repaired = space_from_hrep(Y.dim, functionals, dim_cap)
+    repaired = space_from_hrep(Y.dim, functionals)
     pinned = LinMap(incl.matrix, X, repaired)
     if not is_isometric(pinned):
         raise VerificationError("repair failed to pin the subspace norm")
@@ -132,9 +130,7 @@ def repair_norm(
     return NormRepair(Y, repaired, delta, pinned, ratio)
 
 
-def repair_operator(
-    T: LinMap, i0: LinMap, j0: LinMap, delta, dim_cap: int = DIM_CAP
-):
+def repair_operator(T: LinMap, i0: LinMap, j0: LinMap, delta):
     """Repair both norms so T becomes nonexpansive with both pins intact.
 
     Returns (domain repair, codomain repair, T', the certified checks).
@@ -169,8 +165,8 @@ def repair_operator(
             f"operator norm {norm_t} exceeds {headroom}; "
             "too large to repair at this delta"
         )
-    rx = repair_norm(T.domain, i0, delta, dim_cap)
-    ry = repair_norm(T.codomain, j0, delta, dim_cap)
+    rx = repair_norm(T.domain, i0, delta)
+    ry = repair_norm(T.codomain, j0, delta)
     t_prime = LinMap(T.matrix, rx.repaired, ry.repaired)
     if operator_norm(t_prime) > 1 and T.domain.dim > 0:
         # Hull of the pinned ball with the shrunk repaired ball: the pinned
@@ -182,7 +178,7 @@ def repair_operator(
             parts.append(Ball(T.domain.dim, canon_set(pinned_gens), None))
         scaled = [v.scale(shrink) for v in rx.repaired.ball.vrep]
         parts.append(Ball(T.domain.dim, canon_set(scaled), None))
-        ball = symmetric_hull(T.domain.dim, parts, dim_cap)
+        ball = symmetric_hull(T.domain.dim, parts)
         rescaled = Space(T.domain.dim, ball)
         pinned = LinMap(i0.matrix, i0.domain, rescaled)
         if not is_isometric(pinned):

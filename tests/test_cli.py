@@ -1,6 +1,7 @@
 """Command line front-end: one canonical report per verb, exit status
 mirroring the exact verdicts, annotated rejection of bad inputs."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,9 +9,9 @@ import sys
 import pytest
 
 from polyban.banach import LinMap, l1_space, line, zero_space
-from polyban.cli import main
+from polyban.cli import build_parser, main
 from polyban.errors import VerificationError
-from polyban.exactlin import QMat, QVec, rat
+from polyban.exactlin import QMat, QVec, rat, rat_str
 from polyban.fraisse import build_chain
 from polyban.io import (
     chain_from_json,
@@ -358,6 +359,20 @@ class TestShippedInstances:
             assert doc["verdict"] == "pass"
 
 
+def expansive_operator(stage):
+    stage["F"][0][0] = "5"
+
+
+def zero_denominator(stage):
+    stage["F"][0][0] = "3/0"
+
+
+def shrunk_domain_ball(stage):
+    ball = stage["U"]["ball"]
+    ball["vrep"] = [[rat_str(2 * rat(x)) for x in v] for v in ball["vrep"]]
+    ball["hrep"] = [[rat_str(rat(x) / 2) for x in v] for v in ball["hrep"]]
+
+
 class TestErrorPaths:
     def test_malformed_json_is_position_annotated(self, work, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -370,7 +385,28 @@ class TestErrorPaths:
         path = tmp_path / "v.json"
         save_json(str(path), {"v": ["3/0"]})
         assert main(["surject", str(work / "chain.json"), str(path)]) == 2
-        assert "not a rational" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: not a rational: '3/0'\n"
+
+    def test_dim_cap_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["amalgam-pushout", str(tmp_path / "unused.json"), "--dim-cap", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--dim-cap" in err
+        assert "Traceback" not in err
+
+    def test_only_chain_build_takes_a_dim_cap(self):
+        (sub,) = (
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        with_cap = [
+            verb
+            for verb, parser in sub.choices.items()
+            if any("--dim-cap" in a.option_strings for a in parser._actions)
+        ]
+        assert with_cap == ["chain-build"]
 
     def test_exponent_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -422,27 +458,43 @@ class TestErrorPaths:
         assert main(["surject", str(work / "chain.json"), str(path)]) == 2
         assert "'v'" in capsys.readouterr().err
 
-    def surject_with_chain(self, work, tmp_path, capsys, tamper) -> str:
+    def surject_with_chain(self, work, tmp_path, capsys, tamper, index=1):
+        """surject's stderr and chain path, after tamper edits one stage."""
         doc = load_json(str(work / "chain.json"))
-        tamper(doc["chain"]["stages"][1])
+        tamper(doc["chain"]["stages"][index])
         chain = tmp_path / "chain.json"
         save_json(str(chain), doc)
         target = tmp_path / "v.json"
         save_json(str(target), {"v": ["1"]})
         assert main(["surject", str(chain), str(target)]) == 2
-        return capsys.readouterr().err
+        return capsys.readouterr().err, chain
 
     def test_chain_stage_without_space_named(self, work, tmp_path, capsys):
-        err = self.surject_with_chain(
+        err, _ = self.surject_with_chain(
             work, tmp_path, capsys, lambda stage: stage.pop("U")
         )
         assert "chain stage 1 is missing the 'U' field" in err
 
     def test_log_entry_without_task_named(self, work, tmp_path, capsys):
-        err = self.surject_with_chain(
+        err, _ = self.surject_with_chain(
             work, tmp_path, capsys, lambda stage: stage["log"].pop("task")
         )
         assert "log entry of stage 1 is missing the 'task' field" in err
+
+    @pytest.mark.parametrize(
+        "tamper, index, message",
+        [
+            (expansive_operator, 3, "chain stage 3: stage operator has norm 5 > 1"),
+            (shrunk_domain_ball, 5, "chain stage 5: stage inclusion lost isometry"),
+            (zero_denominator, 3, "not a rational: '3/0'"),
+        ],
+        ids=["expansive-operator", "shrunk-domain-ball", "zero-denominator"],
+    )
+    def test_tampered_chain_is_rejected_input(
+        self, work, tmp_path, capsys, tamper, index, message
+    ):
+        err, chain = self.surject_with_chain(work, tmp_path, capsys, tamper, index)
+        assert err == f"error: {chain}: {message}\n"
 
     @pytest.mark.parametrize("content", [None, b'{"v": ["\xe9"]}'])
     def test_unreadable_input_path_named(self, work, tmp_path, capsys, content):

@@ -164,6 +164,12 @@ class TestStepChain:
         assert out.log[-1].verdict == "skipped:cap"
         assert out.stages[-1].U.dim == 1
 
+    def test_chain_cap_past_the_hard_cap_skips(self):
+        chain = ensure_dim(zero_chain(dim_cap=9), 8)
+        out = step_chain(chain, glue_task(0))
+        assert out.log[-1].verdict == "skipped:cap"
+        assert out.stages[-1].U.dim == 8
+
     def test_stage_invariants(self):
         chain = build_chain(6, dim_cap=4, seed=0)
         for prev, stage in zip(chain.stages, chain.stages[1:]):
@@ -267,12 +273,10 @@ class TestRealizeOver:
         assert norm_eval(N, QVec.of([F(1), F(1)])) == 2  # l1 glue
 
     def test_cap(self):
-        plane = linf_space(2)
+        cube = linf_space(8)
         zero = zero_space()
-        with pytest.raises(CapExceeded):
-            realize_over(
-                plane, LinMap.zero(zero, plane), LinMap.zero(zero, plane), 3
-            )
+        with pytest.raises(CapExceeded, match="dimension 9 exceeds cap 8"):
+            realize_over(cube, LinMap.zero(zero, cube), LinMap.zero(zero, line_space()))
 
 
 class TestGWitness:
@@ -502,6 +506,13 @@ class TestEnsureDim:
     def test_noop_when_large_enough(self):
         chain = build_chain(6, dim_cap=4, seed=0)
         assert ensure_dim(chain, 1) == chain
+
+    def test_stops_at_the_hard_cap(self):
+        chain = ensure_dim(zero_chain(), 8)
+        assert chain.stages[-1].U.dim == 8
+        assert chain.log[-1].verdict == "realized:cap-bypass"
+        with pytest.raises(CapExceeded):
+            ensure_dim(chain, 9)
 
 
 class TestEmbedOperator:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polyban.banach import LinMap, l1_space, line, linf_space
-from polyban.errors import DimensionMismatch, ParseError, VerificationError
+from polyban.errors import DimensionMismatch, ParseError
 from polyban.exactlin import QMat, QVec
 from polyban.fraisse import build_chain
 from polyban.io import (
@@ -133,7 +133,7 @@ class TestChain:
         doc = chain_to_json(chain)
         last = doc["stages"][-1]
         last["F"] = [["7" for _ in row] for row in last["F"]]
-        with pytest.raises(VerificationError):
+        with pytest.raises(ParseError, match=r"^chain stage 6: stage operator has norm"):
             chain_from_json(doc)
 
     def test_verify_can_be_skipped(self):

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_facets, brute_force_gauge, brute_force_vertices
+from polyban.banach import Space
 from polyban.errors import CapExceeded, NotANorm, VerificationError
 from polyban.exactlin import QMat, QVec, rank
 from polyban.polytope import (
@@ -197,11 +198,12 @@ class TestValidation:
             Ball.from_vrep(1, vecs((1,))).signed_hrep()
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            complete_representations(Ball(9, None, None), dim_cap=8)
-        ball = complete_from_vrep(2, ((1, 0), (0, 1)))
-        with pytest.raises(CapExceeded):
-            complete_representations(ball, dim_cap=1)
+        with pytest.raises(CapExceeded, match="dimension 9 exceeds cap 8"):
+            complete_representations(Ball(9, None, None))
+        # A hand-built Space completes its ball, so it meets the same cap.
+        units = tuple(QVec.unit(9, i) for i in range(9))
+        with pytest.raises(CapExceeded, match="dimension 9 exceeds cap 8"):
+            Space(9, Ball(9, units, units))
 
 
 class TestGauge:
