@@ -27,16 +27,17 @@ from .banach import (
     NOT_EPS,
     LinMap,
     Space,
+    _l1_generators,
     classify_embedding,
     is_isometric,
-    l1_sum,
     map_distance,
     operator_norm,
-    quotient,
+    quotient_matrix,
+    space_from_vrep,
 )
 from .errors import DimensionMismatch, PreconditionError, VerificationError
 from .exactlin import QMat, QVec, _rref, block_diag, rat, solve_linear
-from .polytope import Ball, canon_set, gauge_vrep, symmetric_hull
+from .polytope import Ball, canon_set, gauge_vrep
 from .report import Check, certify, check_eq, check_le, check_true
 
 
@@ -67,6 +68,26 @@ class SquareSumResult:
     checks: tuple[Check, ...]
 
 
+def _l1_quotient(
+    i: LinMap, f: LinMap
+) -> tuple[QMat, QMat, list[QVec], tuple[QVec, ...]]:
+    """The l1 sum of X = cod i and Y = cod f modulo Delta = span{(i z, -f z)}:
+    the quotient matrix as its X and Y column blocks, the images under it of
+    the sum's generators, and Delta's reduced basis.  The sum ball is never
+    completed, so only the amalgam has to fit the hard cap."""
+    X, Y, Z = i.codomain, f.codomain, i.domain
+    units = [QVec.unit(Z.dim, k) for k in range(Z.dim)]
+    raw = [i(e).concat(-f(e)) for e in units]
+    raw = [r for r in raw if not r.is_zero()]
+    reduced, _ = _rref([list(r.entries) for r in raw])
+    delta = tuple(QVec.of(row) for row in reduced)
+    q_mat = quotient_matrix(X.dim + Y.dim, delta)
+    x_block = QMat.from_rows([row[: X.dim] for row in q_mat.entries], cols=X.dim)
+    y_block = QMat.from_rows([row[X.dim :] for row in q_mat.entries], cols=Y.dim)
+    images = [q_mat.apply(v) for v in _l1_generators(X, Y)]
+    return x_block, y_block, images, delta
+
+
 def pushout(i: LinMap, f: LinMap) -> PushoutResult:
     """Amalgam of i: Z->X and f: Z->Y over their common domain.
 
@@ -81,21 +102,10 @@ def pushout(i: LinMap, f: LinMap) -> PushoutResult:
     norm_f = operator_norm(f)
     if norm_f > 1:
         raise PreconditionError(f"operator norm of f is {norm_f} > 1")
-    X, Y, Z = i.codomain, f.codomain, i.domain
-    total, inl, inr = l1_sum(X, Y)
-    raw = [
-        i(QVec.unit(Z.dim, k)).concat(-f(QVec.unit(Z.dim, k)))
-        for k in range(Z.dim)
-    ]
-    raw = [r for r in raw if not r.is_zero()]
-    if raw:
-        reduced, _ = _rref([list(r.entries) for r in raw])
-        delta = tuple(QVec.of(row) for row in reduced)
-    else:
-        delta = ()
-    W, q = quotient(total, delta)
-    g = q.compose(inl)
-    j = q.compose(inr)
+    g_mat, j_mat, images, delta = _l1_quotient(i, f)
+    W = space_from_vrep(g_mat.rows, images)
+    g = LinMap(g_mat, i.codomain, W)
+    j = LinMap(j_mat, f.codomain, W)
     checks = [
         check_eq(
             "dist(g o i, j o f) == 0",
@@ -160,9 +170,9 @@ def _correction_generators(f: LinMap, eps: Fraction) -> list[QVec]:
 def correction_sum(f: LinMap, eps) -> CorrectionResult:
     """Initial object absorbing f's defect at cost eps.
 
-    Accepts any nonexpansive f; the exact isometry checks reject pairs
-    (f, eps) for which the construction degrades the embedded norms, which
-    happens exactly when ||f(w)|| < (1 - eps)||w|| somewhere.
+    Accepts any nonexpansive f; a pair (f, eps) for which the construction
+    degrades the embedded norms, which happens exactly when ||f(w)|| <
+    (1 - eps)||w|| somewhere, is rejected with a PreconditionError.
     """
     eps = rat(eps)
     if eps <= 0:
@@ -172,15 +182,18 @@ def correction_sum(f: LinMap, eps) -> CorrectionResult:
         raise PreconditionError(f"operator norm of f is {norm_f} > 1")
     X, Y = f.domain, f.codomain
     dim = X.dim + Y.dim
-    zero_x, zero_y = QVec.zero(X.dim), QVec.zero(Y.dim)
-    part_x = Ball(dim, canon_set([v.concat(zero_y) for v in X.ball.vrep]), None)
-    part_y = Ball(dim, canon_set([zero_x.concat(w) for w in Y.ball.vrep]), None)
-    part_g = Ball(dim, canon_set(_correction_generators(f, eps)), None)
-    Z0 = Space(dim, symmetric_hull(dim, [part_x, part_y, part_g]))
+    Z0 = space_from_vrep(dim, _l1_generators(X, Y) + _correction_generators(f, eps))
     iX = LinMap(QMat.identity(X.dim).vstack(QMat.zeros(Y.dim, X.dim)), X, Z0)
     jY = LinMap(QMat.zeros(X.dim, Y.dim).vstack(QMat.identity(Y.dim)), Y, Z0)
+    # jY is isometric for every nonexpansive f, iX only under the condition above.
+    iso_x = is_isometric(iX)
+    if not iso_x:
+        raise PreconditionError(
+            f"eps {eps} is too small: f shrinks some vector below 1 - eps "
+            "of its norm, so iX is not isometric"
+        )
     checks = certify(
-        check_true("iX is isometric", is_isometric(iX)),
+        check_true("iX is isometric", iso_x),
         check_true("jY is isometric", is_isometric(jY)),
         check_le("dist(iX, jY o f) <= eps", map_distance(iX, jY.compose(f)), eps),
     )
@@ -198,10 +211,7 @@ def correction_norm_inf(c: CorrectionResult, v: QVec) -> Fraction:
     if v.dim != c.Z0.dim:
         raise DimensionMismatch(f"point dim {v.dim} != {c.Z0.dim}")
     X, Y = c.f.domain, c.f.codomain
-    zero_x, zero_y = QVec.zero(X.dim), QVec.zero(Y.dim)
-    gens = [u.concat(zero_y) for u in X.ball.vrep]
-    gens += [zero_x.concat(w) for w in Y.ball.vrep]
-    gens += _correction_generators(c.f, c.eps)
+    gens = _l1_generators(X, Y) + _correction_generators(c.f, c.eps)
     return gauge_vrep(Ball(c.Z0.dim, canon_set(gens), None), v)
 
 

@@ -198,16 +198,19 @@ def classify_embedding(T: LinMap, eps) -> EmbeddingClass:
     return EmbeddingClass(lower, upper, verdict)
 
 
+def _l1_generators(X: Space, Y: Space) -> list[QVec]:
+    """The l1 sum's ball generators: (vrep X x 0), then (0 x vrep Y)."""
+    zero_x, zero_y = QVec.zero(X.dim), QVec.zero(Y.dim)
+    gens = [v.concat(zero_y) for v in X.ball.vrep]
+    return gens + [zero_x.concat(w) for w in Y.ball.vrep]
+
+
 def l1_sum(X: Space, Y: Space):
     """Coproduct: ball hull of (vrep X x 0) and (0 x vrep Y).
 
     Returns (space, inl, inr); both injections are isometric.
     """
-    zero_y = QVec.zero(Y.dim)
-    zero_x = QVec.zero(X.dim)
-    gens = [v.concat(zero_y) for v in X.ball.vrep]
-    gens += [zero_x.concat(w) for w in Y.ball.vrep]
-    total = space_from_vrep(X.dim + Y.dim, gens)
+    total = space_from_vrep(X.dim + Y.dim, _l1_generators(X, Y))
     inl = LinMap(QMat.identity(X.dim).vstack(QMat.zeros(Y.dim, X.dim)), X, total)
     inr = LinMap(QMat.zeros(X.dim, Y.dim).vstack(QMat.identity(Y.dim)), Y, total)
     return total, inl, inr

@@ -37,6 +37,7 @@ from .fraisse import (
     surjectivity_witness,
 )
 from .io import (
+    _labelled,
     ball_from_json,
     chain_from_json,
     chain_to_json,
@@ -69,12 +70,8 @@ def _reading(path: str):
     """Load a JSON file for the block to parse.  An input error raised in
     the block is prefixed with the path, as load_json's own errors are."""
     doc = load_json(path)
-    try:
+    with _labelled(path):
         yield doc
-    except VerificationError:
-        raise
-    except PolybanError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _load_chain(path: str) -> Chain:

@@ -27,9 +27,9 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Callable, Optional
 
-from .amalgam import pushout, square_sum
+from .amalgam import _l1_quotient, pushout, square_sum
 from .banach import (
     ISOMETRIC,
     LinMap,
@@ -42,7 +42,7 @@ from .banach import (
     norm_eval,
     operator_norm,
     pullback_space,
-    quotient_matrix,
+    space_from_vrep,
     zero_space,
 )
 from .errors import (
@@ -51,8 +51,8 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .exactlin import QMat, QVec, _rref, invert, rank, rat, solve_linear
-from .polytope import DIM_CAP, Ball, complete_representations
+from .exactlin import QMat, QVec, invert, rank, rat, solve_linear
+from .polytope import DIM_CAP
 from .report import Check, certify, check_eq, check_le, check_lt, check_true
 
 DEFAULT_DIM_CAP = 6
@@ -188,6 +188,16 @@ def find_stage(chain: Chain, op: LinMap) -> Optional[int]:
     return None
 
 
+def _stage_index(
+    chain: Chain, found: Callable[[ChainStage], bool], missing: str
+) -> int:
+    """The first stage index whose stage is found, else PreconditionError(missing)."""
+    for idx, stage in enumerate(chain.stages):
+        if found(stage):
+            return idx
+    raise PreconditionError(missing)
+
+
 def _bit_size(task: Task) -> int:
     total = task.k.bit_length()
     for mat in (task.T.matrix, task.i.matrix, task.j.matrix):
@@ -245,32 +255,11 @@ def realize_over(prev: Space, via: LinMap, ext: LinMap) -> tuple[Space, LinMap, 
     if ext.domain != Z:
         raise DimensionMismatch("via and ext need a common domain")
     X = ext.codomain
-    new_dim = prev.dim + X.dim - Z.dim
-    # Quotient of the l1 sum by the antidiagonal; the sum ball itself is
-    # never completed since only its generators matter for the image.
-    sum_dim = prev.dim + X.dim
-    zero_x = QVec.zero(X.dim)
-    zero_p = QVec.zero(prev.dim)
-    gens = [v.concat(zero_x) for v in prev.ball.vrep]
-    gens += [zero_p.concat(w) for w in X.ball.vrep]
-    raw = [
-        via(QVec.unit(Z.dim, k)).concat(-ext(QVec.unit(Z.dim, k)))
-        for k in range(Z.dim)
-    ]
-    raw = [r for r in raw if not r.is_zero()]
-    if raw:
-        reduced, pivots = _rref([list(r.entries) for r in raw])
-        if len(pivots) != len(raw):
-            raise PreconditionError("degenerate gluing data")
-        delta = [QVec.of(row) for row in reduced]
-    else:
-        delta = []
-    q_mat = quotient_matrix(sum_dim, delta)
-    w_dim = q_mat.rows
-    if w_dim != new_dim:
+    g_mat, j_mat, images, _ = _l1_quotient(via, ext)
+    w_dim = g_mat.rows
+    # Delta has dim Z exactly when (via, ext) is injective on Z.
+    if w_dim != prev.dim + X.dim - Z.dim:
         raise PreconditionError("gluing maps are not injective")
-    g_mat = q_mat @ QMat.identity(prev.dim).vstack(QMat.zeros(X.dim, prev.dim))
-    j_mat = q_mat @ QMat.zeros(prev.dim, X.dim).vstack(QMat.identity(X.dim))
     cols = [g_mat.col(t) for t in range(prev.dim)]
     for c in range(X.dim):
         if len(cols) == w_dim:
@@ -283,8 +272,7 @@ def realize_over(prev: Space, via: LinMap, ext: LinMap) -> tuple[Space, LinMap, 
     if basis.shape != (w_dim, w_dim):
         raise VerificationError("amalgam basis construction failed")
     change = invert(basis)
-    ball_gens = [change.apply(q_mat.apply(v)) for v in gens]
-    N = Space(w_dim, complete_representations(Ball.from_vrep(w_dim, ball_gens)))
+    N = space_from_vrep(w_dim, [change.apply(v) for v in images])
     inclP = LinMap(_pad_matrix(prev.dim, w_dim), prev, N)
     emb = LinMap(change @ j_mat, X, N)
     if emb.matrix @ ext.matrix != inclP.matrix @ via.matrix:
@@ -414,6 +402,28 @@ def _repeat_stage(chain: Chain, task: Task, verdict: str) -> Chain:
     return Chain(chain.stages + (stage,), chain.log + (entry,), chain.dim_cap, chain.seed)
 
 
+def _realize_square(
+    base: ChainStage, via_u: LinMap, via_v: LinMap, T: LinMap, i: LinMap, j: LinMap
+) -> tuple[ChainStage, LinMap, LinMap]:
+    """Realize T: X -> Y, glued along i: Z -> X and j: Z' -> Y onto the base
+    stage's spaces at via_u: Z -> U and via_v: Z' -> V.  Returns the new
+    stage, whose operator extends base.F, and the embeddings of X and Y."""
+    U_new, inclU, emb_x = realize_over(base.U, via_u, i)
+    V_new, inclV, emb_y = realize_over(base.V, via_v, j)
+    spanning = inclU.matrix.hstack(emb_x.matrix)
+    images = (inclV.matrix @ base.F.matrix).hstack(emb_y.matrix @ T.matrix)
+    F_new = solve_through(spanning, images, U_new, V_new)
+    # Only nonexpansiveness is left to check; every other stage fact is
+    # certified once above.  realize_over certified inclU, inclV, emb_x and
+    # emb_y isometric, and emb_x o i == inclU o via_u (likewise for j).
+    # solve_through certified that F_new extends base.F along the
+    # inclusions and realizes the square (condition (c)).
+    norm_f = operator_norm(F_new)
+    if norm_f > 1:
+        raise VerificationError(f"stage operator has norm {norm_f} > 1")
+    return ChainStage(U_new, V_new, F_new, inclU, inclV), emb_x, emb_y
+
+
 def _step_realize(
     chain: Chain, task: Task, cap: int
 ) -> tuple[Chain, LinMap, LinMap]:
@@ -421,8 +431,6 @@ def _step_realize(
     of the task's spaces into it.  Raises CapExceeded when it cannot fit."""
     prev = chain.stages[-1]
     anchor = chain.stages[task.k]
-    via_u = pad_map(anchor.U, prev.U)
-    via_v = pad_map(anchor.V, prev.V)
     new_u, new_v = (
         prev.U.dim + task.T.domain.dim - anchor.U.dim,
         prev.V.dim + task.T.codomain.dim - anchor.V.dim,
@@ -431,21 +439,10 @@ def _step_realize(
         raise CapExceeded(
             f"realization needs dims ({new_u}, {new_v}) beyond cap {cap}"
         )
-    U_new, inclU, emb_x = realize_over(prev.U, via_u, task.i)
-    V_new, inclV, emb_y = realize_over(prev.V, via_v, task.j)
-    spanning = inclU.matrix.hstack(emb_x.matrix)
-    images = (inclV.matrix @ prev.F.matrix).hstack(emb_y.matrix @ task.T.matrix)
-    F_new = solve_through(spanning, images, U_new, V_new)
-    # Only nonexpansiveness is left to check; every other stage fact is
-    # certified once above.  realize_over certified inclU, inclV, emb_x and
-    # emb_y isometric, and emb_x o i == inclU o via_u (likewise for j): a
-    # product of coordinate pads, so these are the retraction identities.
-    # solve_through certified that F_new extends prev.F along the
-    # inclusions and realizes the task square (condition (c)).
-    norm_f = operator_norm(F_new)
-    if norm_f > 1:
-        raise VerificationError(f"stage operator has norm {norm_f} > 1")
-    stage = ChainStage(U_new, V_new, F_new, inclU, inclV)
+    # The pads from the anchor are a product of coordinate pads, so the glue
+    # identities realize_over certifies are the retraction identities.
+    via_u, via_v = pad_map(anchor.U, prev.U), pad_map(anchor.V, prev.V)
+    stage, emb_x, emb_y = _realize_square(prev, via_u, via_v, task.T, task.i, task.j)
     verdict = "realized" if max(new_u, new_v) <= chain.dim_cap else "realized:cap-bypass"
     entry = LogEntry(len(chain.stages), task.label(), verdict)
     new_chain = Chain(
@@ -540,9 +537,9 @@ def g_witness(
         raise DimensionMismatch("subspace inclusions must land in T's spaces")
     if not is_isometric(X0incl) or not is_isometric(Y0incl):
         raise PreconditionError("subspace inclusions must be isometric")
-    n = find_stage(chain, seed.T)
-    if n is None:
-        raise PreconditionError("seed target operator is not a chain stage")
+    n = _stage_index(
+        chain, lambda st: st.F == seed.T, "seed target operator is not a chain stage"
+    )
     stage = chain.stages[n]
     if seed.i0.domain != X0incl.domain or seed.i1.domain != Y0incl.domain:
         raise DimensionMismatch("seed legs must start at the seeded subspaces")
@@ -565,18 +562,11 @@ def g_witness(
         i_prime, j_prime, m, extended = seed.i0, seed.i1, n, chain
     else:
         # Glue the extension onto the seed stage (one pushout per side).
-        U_prime, inclUn, i3 = realize_over(stage.U, seed.i0, X0incl)
-        V_prime, inclVn, j3 = realize_over(stage.V, seed.i1, Y0incl)
-        spanning = inclUn.matrix.hstack(i3.matrix)
-        images = (inclVn.matrix @ stage.F.matrix).hstack(j3.matrix @ T.matrix)
-        T3 = solve_through(spanning, images, U_prime, V_prime)
-        norm_t3 = operator_norm(T3)
-        if norm_t3 > 1:
-            raise VerificationError(f"glued operator has norm {norm_t3} > 1")
+        glued, i3, j3 = _realize_square(stage, seed.i0, seed.i1, T, X0incl, Y0incl)
         # The repair step is a verification pass here: the glued data is
         # already rational and nonexpansive with exact pins, which is what
         # the repair would otherwise enforce.
-        task = Task(T3, inclUn, inclVn, n)
+        task = Task(glued.F, glued.inclU, glued.inclV, n)
         extended, emb_x, emb_y = _step_realize(chain, task, DIM_CAP)
         m = len(extended.stages) - 1
         i_prime = emb_x.compose(i3)
@@ -621,9 +611,9 @@ def claim_step(
     """
     if f.S != seed.S:
         raise PreconditionError("f and seed must share their source operator")
-    p = find_stage(chain, seed.T)
-    if p is None:
-        raise PreconditionError("seed target operator is not a chain stage")
+    p = _stage_index(
+        chain, lambda st: st.F == seed.T, "seed target operator is not a chain stage"
+    )
     exact = f.defect == 0 and is_isometric(f.i0) and is_isometric(f.i1)
     if exact:
         target, x0, y0, inner_seed = f.T, f.i0, f.i1, seed
@@ -678,30 +668,19 @@ def space_witness(
     if X0incl.domain == X and X0incl.matrix == QMat.identity(X.dim):
         return i
     if side == "domain":
-        n = next(
-            (
-                idx
-                for idx, st in enumerate(chain.stages)
-                if st.U == i.codomain
-            ),
-            None,
+        n = _stage_index(
+            chain, lambda st: st.U == i.codomain, "i does not land in a stage domain"
         )
-        if n is None:
-            raise PreconditionError("i does not land in a stage domain")
         stage = chain.stages[n]
         reach = stage.F.compose(i)
         po = pushout(X0incl, reach)
-        S0 = reach
-        T_op = po.g
-        Y0incl = po.j
-        seed = OperatorSquare(S0, stage.F, i, LinMap.identity(stage.V), eps=rat(eps), defect=Fraction(0))
-        return g_witness(chain, T_op, X0incl, Y0incl, seed, eps)[0]
-    n = next(
-        (idx for idx, st in enumerate(chain.stages) if st.V == i.codomain),
-        None,
+        seed = OperatorSquare(
+            reach, stage.F, i, LinMap.identity(stage.V), rat(eps), Fraction(0)
+        )
+        return g_witness(chain, po.g, X0incl, po.j, seed, eps)[0]
+    n = _stage_index(
+        chain, lambda st: st.V == i.codomain, "i does not land in a stage codomain"
     )
-    if n is None:
-        raise PreconditionError("i does not land in a stage codomain")
     stage = chain.stages[n]
     zero = zero_space()
     T_op = LinMap.zero(zero, X)
@@ -728,12 +707,9 @@ def kernel_witness(
     the embedding, m, the extended chain and the certified checks;
     g_witness checks that X0incl and i are isometric.
     """
-    n = next(
-        (idx for idx, st in enumerate(chain.stages) if st.U == i.codomain),
-        None,
+    n = _stage_index(
+        chain, lambda st: st.U == i.codomain, "i does not land in a stage domain"
     )
-    if n is None:
-        raise PreconditionError("i does not land in a stage domain")
     stage = chain.stages[n]
     if not (stage.F.matrix @ i.matrix).is_zero():
         raise PreconditionError("i does not land in the kernel of the stage map")
@@ -773,11 +749,9 @@ def surjectivity_witness(
     """
     if v.is_zero():
         raise PreconditionError("v must be nonzero")
-    n = next(
-        (idx for idx, st in enumerate(chain.stages) if st.V.dim >= v.dim), None
+    n = _stage_index(
+        chain, lambda st: st.V.dim >= v.dim, "no stage codomain can hold v"
     )
-    if n is None:
-        raise PreconditionError("no stage codomain can hold v")
     stage = chain.stages[n]
     padded = v.concat(QVec.zero(stage.V.dim - v.dim))
     u = solve_linear(stage.F.matrix, padded)
@@ -927,6 +901,37 @@ def embed_operator(
     return squares, tuple(checks)
 
 
+def _half_round(
+    chain: Chain,
+    square: OperatorSquare,
+    anchor: int,
+    eps_prev: Fraction,
+    eps: Fraction,
+    min_dim: int,
+    condition: int,
+) -> tuple[OperatorSquare, Chain, int]:
+    """One half-round of back_and_forth: claim the square at the anchor
+    stage within the 2*eps_prev + eps budget of the numbered condition, grow
+    the chain to min_dim, and return the claimed square padded to the top
+    stage, the chain and the top stage's index."""
+    raw, chain, close0, close1 = claim_step(
+        chain, square, identity_square(chain, anchor), eps
+    )
+    if max(close0, close1) > 2 * eps_prev + eps:
+        raise VerificationError(f"condition ({condition}) closeness failed")
+    chain = ensure_dim(chain, min_dim)
+    top = len(chain.stages) - 1
+    stage = chain.stages[top]
+    padded = make_square(
+        raw.S,
+        stage.F,
+        pad_map(raw.T.domain, stage.U).compose(raw.i0),
+        pad_map(raw.T.codomain, stage.V).compose(raw.i1),
+        eps,
+    )
+    return padded, chain, top
+
+
 def back_and_forth(
     A: Chain, B: Chain, seed: OperatorSquare, eps, depth: int
 ) -> BnfTranscript:
@@ -939,10 +944,9 @@ def back_and_forth(
     eps = rat(eps)
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    a0 = find_stage(A, seed.S)
-    b0 = find_stage(B, seed.T)
-    if a0 is None or b0 is None:
-        raise PreconditionError("seed must connect a stage of A to a stage of B")
+    unseeded = "seed must connect a stage of A to a stage of B"
+    a0 = _stage_index(A, lambda st: st.F == seed.S, unseeded)
+    b0 = _stage_index(B, lambda st: st.F == seed.T, unseeded)
     for leg in (seed.i0, seed.i1):
         if operator_norm(leg) > 1:
             raise PreconditionError("seed legs must be nonexpansive")
@@ -975,48 +979,16 @@ def back_and_forth(
     k_squares = [current_k]
     l_squares = []
     for n in range(depth):
-        eps_next = schedule.eps(n + 1)
-        l_raw, A, close0, close1 = claim_step(
-            A, current_k, identity_square(A, anchor_a), eps_next
-        )
-        budget = 2 * schedule.eps(n) + eps_next
-        if close0 > budget or close1 > budget:
-            raise VerificationError("condition (3) closeness failed")
-        A = ensure_dim(A, min(n + 2, DIM_CAP))
-        top = len(A.stages) - 1
-        stage_top = A.stages[top]
-        pad_u = pad_map(l_raw.T.domain, stage_top.U)
-        pad_v = pad_map(l_raw.T.codomain, stage_top.V)
-        current_l = make_square(
-            l_raw.S,
-            stage_top.F,
-            pad_u.compose(l_raw.i0),
-            pad_v.compose(l_raw.i1),
-            eps_next,
+        eps_n, eps_next, eps_after = (schedule.eps(n + t) for t in range(3))
+        grow = min(n + 2, DIM_CAP)
+        current_l, A, anchor_a = _half_round(
+            A, current_k, anchor_a, eps_n, eps_next, grow, 3
         )
         l_squares.append(current_l)
-        anchor_a = top
-        eps_after = schedule.eps(n + 2)
-        k_raw, B, close0, close1 = claim_step(
-            B, current_l, identity_square(B, anchor_b), eps_after
-        )
-        budget = 2 * eps_next + eps_after
-        if close0 > budget or close1 > budget:
-            raise VerificationError("condition (4) closeness failed")
-        B = ensure_dim(B, min(n + 2, DIM_CAP))
-        top_b = len(B.stages) - 1
-        stage_top_b = B.stages[top_b]
-        pad_u = pad_map(k_raw.T.domain, stage_top_b.U)
-        pad_v = pad_map(k_raw.T.codomain, stage_top_b.V)
-        current_k = make_square(
-            k_raw.S,
-            stage_top_b.F,
-            pad_u.compose(k_raw.i0),
-            pad_v.compose(k_raw.i1),
-            eps_after,
+        current_k, B, anchor_b = _half_round(
+            B, current_l, anchor_b, eps_next, eps_after, grow, 4
         )
         k_squares.append(current_k)
-        anchor_b = top_b
     etas = tuple(
         2 * schedule.eps(n - 1) + 3 * schedule.eps(n) + schedule.eps(n + 1)
         for n in range(1, depth + 1)

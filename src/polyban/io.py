@@ -11,10 +11,11 @@ byte-equal files.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Optional
 
 from .banach import LinMap, Space, is_isometric, operator_norm
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, PolybanError, VerificationError
 from .exactlin import _TOO_LONG, QMat, QVec, rat, rat_str
 from .fraisse import Chain, ChainStage, LogEntry, pad_map
 from .polytope import Ball, complete_representations
@@ -150,16 +151,28 @@ def require_field(doc, name: str, what: str = "input document"):
     return doc[name]
 
 
-def _verify_stage(what: str, prev: ChainStage, stage: ChainStage) -> None:
+@contextmanager
+def _labelled(label: str):
+    """Prefix an input error raised in the block with the label.  A
+    VerificationError is an internal fault, not bad input, and passes as is."""
+    try:
+        yield
+    except VerificationError:
+        raise
+    except PolybanError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
+
+
+def _verify_stage(prev: ChainStage, stage: ChainStage) -> None:
     """Full check of a loaded stage against its predecessor.  A chain file
     is outside input, so a failed check rejects it as a ParseError."""
     norm_f = operator_norm(stage.F)
     if norm_f > 1:
-        raise ParseError(f"{what}: stage operator has norm {norm_f} > 1")
+        raise ParseError(f"stage operator has norm {norm_f} > 1")
     if stage.F.matrix @ stage.inclU.matrix != stage.inclV.matrix @ prev.F.matrix:
-        raise ParseError(f"{what}: stage does not extend the previous operator")
+        raise ParseError("stage does not extend the previous operator")
     if not is_isometric(stage.inclU) or not is_isometric(stage.inclV):
-        raise ParseError(f"{what}: stage inclusion lost isometry")
+        raise ParseError("stage inclusion lost isometry")
 
 
 def chain_from_json(obj, verify: bool = True) -> Chain:
@@ -180,18 +193,18 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
     log: list[LogEntry] = []
     for idx, record in enumerate(raw_stages):
         what = f"chain stage {idx}"
-        U = space_from_json(require_field(record, "U", what))
-        V = space_from_json(require_field(record, "V", what))
-        F_rows = require_field(record, "F", what)
-        F = LinMap(mat_from_json(F_rows, V.dim, U.dim), U, V)
-        if idx == 0:
-            incl_u, incl_v = LinMap.identity(U), LinMap.identity(V)
-        else:
-            prev = stages[-1]
-            incl_u, incl_v = pad_map(prev.U, U), pad_map(prev.V, V)
-        stage = ChainStage(U, V, F, incl_u, incl_v)
-        if idx > 0 and verify:
-            _verify_stage(what, stages[-1], stage)
+        U_doc, V_doc, F_rows = (require_field(record, k, what) for k in ("U", "V", "F"))
+        with _labelled(what):
+            U, V = space_from_json(U_doc), space_from_json(V_doc)
+            F = LinMap(mat_from_json(F_rows, V.dim, U.dim), U, V)
+            if idx == 0:
+                incl_u, incl_v = LinMap.identity(U), LinMap.identity(V)
+            else:
+                prev = stages[-1]
+                incl_u, incl_v = pad_map(prev.U, U), pad_map(prev.V, V)
+            stage = ChainStage(U, V, F, incl_u, incl_v)
+            if idx > 0 and verify:
+                _verify_stage(stages[-1], stage)
         stages.append(stage)
         entry = record.get("log")
         if idx > 0:

@@ -25,11 +25,13 @@ from polyban.banach import (
     map_distance,
     norm_eval,
     operator_norm,
+    quotient,
     zero_space,
 )
-from polyban.errors import PreconditionError, VerificationError
-from polyban.exactlin import QMat, QVec
+from polyban.errors import PreconditionError
+from polyban.exactlin import QMat, QVec, _rref
 from polyban.polytope import Ball, canon_set, symmetric_hull
+from test_banach import matrices, vrep_spaces
 
 
 def lmap(rows, domain, codomain):
@@ -39,6 +41,14 @@ def lmap(rows, domain, codomain):
 def image_part(leg):
     gens = [leg(v) for v in leg.domain.ball.vrep]
     return Ball(leg.codomain.dim, canon_set(gens), None)
+
+
+@st.composite
+def nonexpansive_maps(draw, domain, codomain):
+    """A random map scaled down to norm at most 1."""
+    T = lmap(draw(matrices(codomain.dim, domain.dim)), domain, codomain)
+    norm = operator_norm(T)
+    return LinMap(T.matrix.scale(1 / norm), domain, codomain) if norm > 1 else T
 
 
 class TestPushout:
@@ -89,6 +99,39 @@ class TestPushout:
         got = pushout(i, f)
         hull = symmetric_hull(got.W.dim, [image_part(got.g), image_part(got.j)])
         assert got.W.ball == hull
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_quotient_of_l1_sum(self, data):
+        """The pushout equals the quotient of the completed l1 sum by Delta."""
+        Z = data.draw(vrep_spaces(data.draw(st.integers(0, 2))))
+        if data.draw(st.booleans()):
+            # An isometric inclusion, so the "j isometric" check runs too.
+            extra = data.draw(vrep_spaces(data.draw(st.integers(0, 3 - Z.dim))))
+            X, i, _ = l1_sum(Z, extra)
+        else:
+            X = data.draw(vrep_spaces(data.draw(st.integers(Z.dim, 3))))
+            i = data.draw(nonexpansive_maps(Z, X))
+        Y = data.draw(vrep_spaces(data.draw(st.integers(0, 3))))
+        f = data.draw(nonexpansive_maps(Z, Y))
+        got = pushout(i, f)
+        units = [QVec.unit(Z.dim, k) for k in range(Z.dim)]
+        raw = [list(i(e).concat(-f(e)).entries) for e in units]
+        reduced, _ = _rref([r for r in raw if any(r)])
+        delta = tuple(QVec.of(r) for r in reduced)
+        total, inl, inr = l1_sum(X, Y)
+        W, q = quotient(total, delta)
+        assert got.delta_basis == delta
+        assert got.W == W
+        assert got.g == q.compose(inl) and got.j == q.compose(inr)
+
+    def test_identity_on_linf5_completes_only_the_amalgam(self):
+        # The l1 sum has dim 10, past the hard cap; the amalgam has dim 5.
+        X = linf_space(5)
+        got = pushout(LinMap.identity(X), LinMap.identity(X))
+        assert got.W == X
+        assert got.g.matrix == got.j.matrix == QMat.identity(5)
+        assert all(c.ok for c in got.checks) and len(got.checks) == 4
 
     def test_expansive_input_rejected(self):
         Z = line()
@@ -144,7 +187,7 @@ class TestCorrectionSum:
 
     def test_non_embedding_rejected_at_small_eps(self):
         f = LinMap.zero(line(), line())
-        with pytest.raises(VerificationError):
+        with pytest.raises(PreconditionError, match="iX is not isometric"):
             correction_sum(f, Fraction(1, 2))
 
     def test_eps_must_be_positive(self):

@@ -367,6 +367,11 @@ def zero_denominator(stage):
     stage["F"][0][0] = "3/0"
 
 
+def doubled_domain_vrep(stage):
+    ball = stage["U"]["ball"]
+    ball["vrep"] = [[rat_str(2 * rat(x)) for x in v] for v in ball["vrep"]]
+
+
 def shrunk_domain_ball(stage):
     ball = stage["U"]["ball"]
     ball["vrep"] = [[rat_str(2 * rat(x)) for x in v] for v in ball["vrep"]]
@@ -486,9 +491,15 @@ class TestErrorPaths:
         [
             (expansive_operator, 3, "chain stage 3: stage operator has norm 5 > 1"),
             (shrunk_domain_ball, 5, "chain stage 5: stage inclusion lost isometry"),
-            (zero_denominator, 3, "not a rational: '3/0'"),
+            (zero_denominator, 3, "chain stage 3: not a rational: '3/0'"),
+            (doubled_domain_vrep, 5, "chain stage 5: vrep point violates declared hrep"),
         ],
-        ids=["expansive-operator", "shrunk-domain-ball", "zero-denominator"],
+        ids=[
+            "expansive-operator",
+            "shrunk-domain-ball",
+            "zero-denominator",
+            "doubled-domain-vrep",
+        ],
     )
     def test_tampered_chain_is_rejected_input(
         self, work, tmp_path, capsys, tamper, index, message
@@ -514,12 +525,14 @@ class TestErrorPaths:
                 ["amalgam-pushout", "pushout_pair.json"],
                 "planted failure",
             ),
-            # correction_sum certifies the leg isometry that it reports.
+            # correction_sum certifies the leg isometry that it reports.  jY is
+            # isometric for every nonexpansive f, so its failure is internal;
+            # it is the leg whose leading (X-block) rows are zero.
             (
                 "polyban.amalgam.is_isometric",
-                lambda T: False,
+                lambda T: not T.matrix.row(0).is_zero(),
                 ["amalgam-correct", "line_correction.json", "--eps", "1/2"],
-                "iX is isometric: claimed true, computed false",
+                "jY is isometric: claimed true, computed false",
             ),
         ],
         ids=["pushout", "correction-sum"],
@@ -538,6 +551,22 @@ class TestErrorPaths:
         assert captured.err == f"error: verification failed: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_correction_precondition_is_input_error(self, tmp_path, capsys):
+        """A map that shrinks a vector below 1 - eps of its norm violates
+        correction_sum's precondition: exit 2, not a verification failure."""
+        import pathlib
+
+        data = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+        doc = load_json(str(data / "line_correction.json"))
+        doc["f"]["matrix"] = [["0"]]
+        path = tmp_path / "lc0.json"
+        save_json(str(path), doc)
+        assert main(["amalgam-correct", str(path), "--eps", "1/2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: eps 1/2 is too small: f shrinks some vector below 1 - eps "
+            "of its norm, so iX is not isometric\n"
+        )
 
     def test_cli_runs_no_checks_of_its_own_on_construction_results(self):
         import polyban.cli
