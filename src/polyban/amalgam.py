@@ -36,7 +36,7 @@ from .banach import (
     space_from_vrep,
 )
 from .errors import DimensionMismatch, PreconditionError, VerificationError
-from .exactlin import QMat, QVec, _rref, block_diag, rat, solve_linear
+from .exactlin import QMat, QVec, _rref, block_diag, rat, solve
 from .polytope import Ball, canon_set, gauge_vrep
 from .report import Check, certify, check_eq, check_le, check_true
 
@@ -135,19 +135,15 @@ def pushout_mediating(
         raise DimensionMismatch("cocone legs must start at X and Y")
     if operator_norm(g2) > 1 or operator_norm(j2) > 1:
         raise PreconditionError("cocone legs must be nonexpansive")
-    W = result.W
     # Solve h on the quotient: h(q(x, y)) = g2(x) + j2(y).  The stacked
     # system q^T h^T = (g2 | j2)^T is consistent exactly because the cocone
     # kills Delta; q is surjective, so the solution is unique.
     q_matrix = result.g.matrix.hstack(result.j.matrix)
     stacked = g2.matrix.hstack(j2.matrix)
-    rows = []
-    for r in range(stacked.rows):
-        sol = solve_linear(q_matrix.transpose(), stacked.row(r))
-        if sol is None:
-            raise PreconditionError("cocone does not factor through the pushout")
-        rows.append(sol.entries)
-    h = LinMap(QMat.from_rows(rows, cols=W.dim), W, g2.codomain)
+    sol = solve(q_matrix.transpose(), stacked.transpose())
+    if sol is None:
+        raise PreconditionError("cocone does not factor through the pushout")
+    h = LinMap(sol.transpose(), result.W, g2.codomain)
     if h.matrix @ result.g.matrix != g2.matrix:
         raise VerificationError("mediating map misses the X leg")
     if h.matrix @ result.j.matrix != j2.matrix:

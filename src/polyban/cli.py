@@ -413,8 +413,12 @@ def main(argv=None) -> int:
         return 2
     text = dumps_canonical(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {args.out}: cannot write: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if doc["verdict"] == "pass" else 1

@@ -302,9 +302,45 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows[:r], pivots
 
 
+def pivot_columns(a: QMat) -> list[int]:
+    """The columns of ``a`` outside the span of the columns before them.
+
+    These are the pivots of the reduced echelon form, picked left to right,
+    so they are the greedy choice of an independent set of columns.
+
+    Examples:
+        >>> pivot_columns(QMat.from_rows([[1, 2, 0], [2, 4, 1]]))
+        [0, 2]
+    """
+    return _rref([list(row) for row in a.entries])[1]
+
+
 def rank(a: QMat) -> int:
-    reduced, pivots = _rref([list(row) for row in a.entries])
-    return len(pivots)
+    return len(pivot_columns(a))
+
+
+def solve(a: QMat, b: QMat) -> Optional[QMat]:
+    """One exact solution X of ``a X = b`` with free variables set to 0, or None.
+
+    One elimination of ``[a | b]`` solves every column of ``b``; a pivot in
+    the ``b`` block means some column is not in the column span of ``a``.
+
+    Examples:
+        >>> a = QMat.from_rows([[1, 1], [2, 2]])
+        >>> solve(a, QMat.from_rows([[3, 1], [6, 2]])).entries
+        ((Fraction(3, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(0, 1)))
+        >>> solve(a, QMat.from_rows([[3], [7]])) is None
+        True
+    """
+    if b.rows != a.rows:
+        raise DimensionMismatch(f"matrix rows {a.rows} != rhs rows {b.rows}")
+    reduced, pivots = _rref([list(ra + rb) for ra, rb in zip(a.entries, b.entries)])
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    solution = [(Fraction(0),) * b.cols] * a.cols
+    for row, col in zip(reduced, pivots):
+        solution[col] = tuple(row[a.cols :])
+    return QMat(tuple(solution), (a.cols, b.cols))
 
 
 def solve_linear(a: QMat, b: QVec) -> Optional[QVec]:
@@ -314,21 +350,8 @@ def solve_linear(a: QMat, b: QVec) -> Optional[QVec]:
         >>> solve_linear(QMat.from_rows([[2, 0], [0, 4]]), QVec.of([1, 1]))
         QVec(entries=(Fraction(1, 2), Fraction(1, 4)))
     """
-    if b.dim != a.rows:
-        raise DimensionMismatch(f"matrix rows {a.rows} != vector dim {b.dim}")
-    aug = [list(row) + [b[i]] for i, row in enumerate(a.entries)]
-    if not aug:
-        return QVec.zero(a.cols)
-    reduced, pivots = _rref(aug)
-    for row in reduced:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    solution = [Fraction(0)] * a.cols
-    for row, col in zip(reduced, pivots):
-        if col == a.cols:
-            return None
-        solution[col] = row[-1]
-    return QVec(tuple(solution))
+    x = solve(a, QMat.from_cols([b]))
+    return None if x is None else x.col(0)
 
 
 def kernel_basis(a: QMat) -> list[QVec]:
@@ -359,12 +382,10 @@ def invert(a: QMat) -> QMat:
     """Exact inverse of a square matrix; raises if singular."""
     if a.rows != a.cols:
         raise DimensionMismatch(f"not square: {a.shape}")
-    n = a.rows
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a.entries)]
-    reduced, pivots = _rref(aug)
-    if pivots != list(range(n)):
+    inverse = solve(a, QMat.identity(a.rows))
+    if inverse is None:
         raise ValueError("matrix is singular")
-    return QMat.from_rows([row[n:] for row in reduced], cols=n)
+    return inverse
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .exactlin import QMat, QVec, invert, rank, rat, solve_linear
+from .exactlin import QMat, QVec, invert, pivot_columns, rat, solve, solve_linear
 from .polytope import DIM_CAP
 from .report import Check, certify, check_eq, check_le, check_lt, check_true
 
@@ -173,6 +173,8 @@ def identity_square(chain: Chain, index: int) -> OperatorSquare:
 
 
 def _pad_matrix(small: int, big: int) -> QMat:
+    if small > big:
+        raise DimensionMismatch(f"cannot pad dimension {small} into dimension {big}")
     return QMat.identity(small).vstack(QMat.zeros(big - small, small))
 
 
@@ -226,14 +228,10 @@ def solve_through(spanning: QMat, images: QMat, domain: Space, codomain: Space) 
     The spanning matrix must have full row rank (its columns generate the
     domain); inconsistency means the requested identities clash.
     """
-    rows = []
-    lhs = spanning.transpose()
-    for r in range(images.rows):
-        sol = solve_linear(lhs, images.row(r))
-        if sol is None:
-            raise VerificationError("induced map does not exist; identities clash")
-        rows.append(sol.entries)
-    out = LinMap(QMat.from_rows(rows, cols=domain.dim), domain, codomain)
+    sol = solve(spanning.transpose(), images.transpose())
+    if sol is None:
+        raise VerificationError("induced map does not exist; identities clash")
+    out = LinMap(sol.transpose(), domain, codomain)
     if out.matrix @ spanning != images:
         raise VerificationError("induced map failed to reproduce its identities")
     return out
@@ -260,18 +258,11 @@ def realize_over(prev: Space, via: LinMap, ext: LinMap) -> tuple[Space, LinMap, 
     # Delta has dim Z exactly when (via, ext) is injective on Z.
     if w_dim != prev.dim + X.dim - Z.dim:
         raise PreconditionError("gluing maps are not injective")
-    cols = [g_mat.col(t) for t in range(prev.dim)]
-    for c in range(X.dim):
-        if len(cols) == w_dim:
-            break
-        candidate = j_mat.col(c)
-        trial = QMat.from_cols(cols + [candidate], rows=w_dim)
-        if rank(trial) == len(cols) + 1:
-            cols.append(candidate)
-    basis = QMat.from_cols(cols, rows=w_dim)
-    if basis.shape != (w_dim, w_dim):
+    stacked = g_mat.hstack(j_mat)
+    pivots = pivot_columns(stacked)
+    if len(pivots) != w_dim or pivots[: prev.dim] != list(range(prev.dim)):
         raise VerificationError("amalgam basis construction failed")
-    change = invert(basis)
+    change = invert(QMat.from_cols([stacked.col(c) for c in pivots], rows=w_dim))
     N = space_from_vrep(w_dim, [change.apply(v) for v in images])
     inclP = LinMap(_pad_matrix(prev.dim, w_dim), prev, N)
     emb = LinMap(change @ j_mat, X, N)
@@ -800,31 +791,22 @@ def _truncation(T: LinMap, n: int) -> tuple[Space, Space, LinMap, QMat, QMat]:
     """
     X, Y = T.domain, T.codomain
     dx = min(n, X.dim)
-    x_cols = [QVec.unit(X.dim, t) for t in range(dx)]
-    y_cols: list[QVec] = []
-
-    def push(candidate: QVec) -> None:
-        trial = QMat.from_cols(y_cols + [candidate], rows=Y.dim)
-        if rank(trial) == len(y_cols) + 1:
-            y_cols.append(candidate)
-
+    candidates = []
     for t in range(n):
         if t < Y.dim:
-            push(QVec.unit(Y.dim, t))
+            candidates.append(QVec.unit(Y.dim, t))
         if t < X.dim:
-            push(T(QVec.unit(X.dim, t)))
-    x_mat = QMat.from_cols(x_cols, rows=X.dim)
+            candidates.append(T.matrix.col(t))
+    picked = pivot_columns(QMat.from_cols(candidates, rows=Y.dim))
+    y_cols = [candidates[c] for c in picked]
+    x_mat = QMat.from_cols([QVec.unit(X.dim, t) for t in range(dx)], rows=X.dim)
     y_mat = QMat.from_cols(y_cols, rows=Y.dim)
     Xn = pullback_space(x_mat, X) if dx else zero_space()
     Yn = pullback_space(y_mat, Y) if y_cols else zero_space()
-    cols = []
-    for k in range(dx):
-        image = T(QVec.unit(X.dim, k))
-        sol = solve_linear(y_mat, image)
-        if sol is None or y_mat.apply(sol) != image:
-            raise VerificationError("truncation basis misses a T-image")
-        cols.append(sol)
-    Tn = LinMap(QMat.from_cols(cols, rows=len(y_cols)), Xn, Yn)
+    sol = solve(y_mat, T.matrix @ x_mat)
+    if sol is None:
+        raise VerificationError("truncation basis misses a T-image")
+    Tn = LinMap(sol, Xn, Yn)
     return Xn, Yn, Tn, x_mat, y_mat
 
 

@@ -22,7 +22,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, DimensionMismatch, NotANorm, VerificationError
-from .exactlin import OPTIMAL, LpProblem, QMat, QVec, invert, lp_solve, rank
+from .exactlin import (
+    OPTIMAL, LpProblem, QMat, QVec, invert, lp_solve, pivot_columns, rank
+)
 
 DIM_CAP = 8
 
@@ -93,13 +95,8 @@ def _enumerate_vertices(
     the i-th vertex.  Raises NotANorm when the region is unbounded.
     """
     # Greedy independent subset to form the initial parallelotope.
-    chosen: list[int] = []
-    for k, phi in enumerate(functionals):
-        trial = [functionals[i].entries for i in chosen] + [phi.entries]
-        if rank(QMat.from_rows(trial, cols=dim)) == len(chosen) + 1:
-            chosen.append(k)
-            if len(chosen) == dim:
-                break
+    rows = QMat.from_rows([phi.entries for phi in functionals], cols=dim)
+    chosen = pivot_columns(rows.transpose())
     if len(chosen) < dim:
         raise NotANorm("functionals do not span; the region is unbounded")
     base = QMat.from_rows([functionals[i].entries for i in chosen], cols=dim)

@@ -35,11 +35,10 @@ from .exactlin import (
     EQ,
     OPTIMAL,
     LpProblem,
-    QMat,
     QVec,
     lp_solve,
     rat,
-    solve_linear,
+    solve,
 )
 from .polytope import Ball, canon_set, symmetric_hull
 from .report import certify, check_le, check_true
@@ -146,18 +145,12 @@ def repair_operator(T: LinMap, i0: LinMap, j0: LinMap, delta):
         raise DimensionMismatch("pins must include into T's domain and codomain")
     if not is_isometric(i0) or not is_isometric(j0):
         raise PreconditionError("pins must be isometric inclusions")
-    t0_cols = []
-    for k in range(i0.domain.dim):
-        rhs = T(i0(QVec.unit(i0.domain.dim, k)))
-        sol = solve_linear(j0.matrix, rhs)
-        if sol is None or j0.matrix.apply(sol) != rhs:
-            raise PreconditionError(
-                "T does not carry the pinned domain into the pinned codomain"
-            )
-        t0_cols.append(sol)
-    T0 = LinMap(
-        QMat.from_cols(t0_cols, rows=j0.domain.dim), i0.domain, j0.domain
-    )
+    t0 = solve(j0.matrix, T.matrix @ i0.matrix)
+    if t0 is None:
+        raise PreconditionError(
+            "T does not carry the pinned domain into the pinned codomain"
+        )
+    T0 = LinMap(t0, i0.domain, j0.domain)
     norm_t = operator_norm(T)
     headroom = (1 + delta) ** 2
     if norm_t > headroom:

@@ -12,6 +12,39 @@ from fractions import Fraction
 from polyban.exactlin import QMat, QVec, rank, solve_linear
 
 
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (
+            (-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+            for j in range(len(rows))
+        ),
+        Fraction(0),
+    )
+
+
+def minor_rank(mat):
+    """Rank of a QMat as the size of its largest nonzero minor (dims <= 4)."""
+    for k in range(min(mat.shape), 0, -1):
+        for rows in itertools.combinations(mat.entries, k):
+            for cols in itertools.combinations(range(mat.cols), k):
+                if _det([[row[c] for c in cols] for row in rows]) != 0:
+                    return k
+    return 0
+
+
+def greedy_columns(mat):
+    """Columns raising the minor rank of the columns chosen before them."""
+    chosen = []
+    for c in range(mat.cols):
+        trial = QMat.from_cols([mat.col(j) for j in chosen + [c]], rows=mat.rows)
+        if minor_rank(trial) == len(chosen) + 1:
+            chosen.append(c)
+    return chosen
+
+
 def brute_force_lp(objective, constraints, sense="max"):
     """Optimum of a *bounded, feasible* LP by enumerating basic points.
 

@@ -2,7 +2,9 @@
 mirroring the exact verdicts, annotated rejection of bad inputs."""
 
 import argparse
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -372,6 +374,11 @@ def doubled_domain_vrep(stage):
     ball["vrep"] = [[rat_str(2 * rat(x)) for x in v] for v in ball["vrep"]]
 
 
+def shrunk_to_zero(stage):
+    zero = {"ball": {"dim": 0, "hrep": [], "vrep": []}, "dim": 0}
+    stage.update(U=zero, V=zero, F=[])
+
+
 def shrunk_domain_ball(stage):
     ball = stage["U"]["ball"]
     ball["vrep"] = [[rat_str(2 * rat(x)) for x in v] for v in ball["vrep"]]
@@ -493,12 +500,14 @@ class TestErrorPaths:
             (shrunk_domain_ball, 5, "chain stage 5: stage inclusion lost isometry"),
             (zero_denominator, 3, "chain stage 3: not a rational: '3/0'"),
             (doubled_domain_vrep, 5, "chain stage 5: vrep point violates declared hrep"),
+            (shrunk_to_zero, 4, "chain stage 4: cannot pad dimension 1 into dimension 0"),
         ],
         ids=[
             "expansive-operator",
             "shrunk-domain-ball",
             "zero-denominator",
             "doubled-domain-vrep",
+            "shrinking-stage",
         ],
     )
     def test_tampered_chain_is_rejected_input(
@@ -506,6 +515,22 @@ class TestErrorPaths:
     ):
         err, chain = self.surject_with_chain(work, tmp_path, capsys, tamper, index)
         assert err == f"error: {chain}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "out, code",
+        [("missing/report.json", errno.ENOENT), (".", errno.EISDIR)],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out_path_is_input_error(self, tmp_path, capsys, out, code):
+        import pathlib
+
+        data = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+        target = tmp_path / out
+        argv = ["op-norm", str(data / "identity_map.json"), "--out", str(target)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {target}: cannot write: {os.strerror(code)}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("content", [None, b'{"v": ["\xe9"]}'])
     def test_unreadable_input_path_named(self, work, tmp_path, capsys, content):

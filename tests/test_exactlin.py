@@ -16,13 +16,15 @@ from polyban.exactlin import (
     QVec,
     kernel_basis,
     lp_solve,
+    pivot_columns,
     rank,
     rat,
     rat_str,
+    solve,
     solve_linear,
 )
 
-from oracles import brute_force_lp
+from oracles import brute_force_lp, greedy_columns, minor_rank
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12
@@ -31,6 +33,36 @@ rationals = st.fractions(
 
 def qvec(*values):
     return QVec.of(values)
+
+
+def draw_matrix(draw, rows, cols):
+    row = st.lists(rationals, min_size=cols, max_size=cols)
+    return QMat.from_rows(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+
+
+@st.composite
+def small_matrices(draw):
+    """Matrices of up to 4 x 4, empty ones included; half of them are a
+    product through an inner dimension k, so their rank is at most k."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        return draw_matrix(draw, rows, k) @ draw_matrix(draw, k, cols)
+    return draw_matrix(draw, rows, cols)
+
+
+@st.composite
+def systems(draw):
+    """(a, b) with up to 3 right-hand sides, each in the column span of a
+    or drawn freely."""
+    a = draw(small_matrices())
+    columns = []
+    for _ in range(draw(st.integers(0, 3))):
+        column = draw_matrix(draw, a.rows, 1).col(0)
+        if draw(st.booleans()):
+            column = a.apply(draw_matrix(draw, a.cols, 1).col(0))
+        columns.append(column)
+    return a, QMat.from_cols(columns, rows=a.rows)
 
 
 class TestRat:
@@ -122,6 +154,47 @@ class TestRank:
         assert rank(QMat.from_rows([[1, 2], [2, 4]])) == 1
         assert rank(QMat.identity(4)) == 4
         assert rank(QMat.zeros(0, 5)) == 0
+
+    @given(small_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_pivot_columns_are_the_greedy_prefix_rank_choice(self, a):
+        assert pivot_columns(a) == greedy_columns(a)
+        assert rank(a) == minor_rank(a)
+
+
+class TestSolve:
+    @given(systems())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_minor_rank_oracle(self, system):
+        a, b = system
+        x = solve(a, b)
+        base = minor_rank(a)
+        consistent = all(
+            minor_rank(a.hstack(QMat.from_cols([b.col(j)], rows=a.rows))) == base
+            for j in range(b.cols)
+        )
+        assert (x is not None) == consistent
+        if x is not None:
+            assert x.shape == (a.cols, b.cols)
+            assert a @ x == b
+            free = set(range(a.cols)) - set(greedy_columns(a))
+            assert all(x.row(i).is_zero() for i in free)
+
+    def test_columns_solved_together_match_one_at_a_time(self):
+        a = QMat.from_rows([[1, 2, 0], [2, 4, 1]])
+        b = QMat.from_rows([[1, 0, 3], [0, 1, 5]])
+        x = solve(a, b)
+        assert [x.col(j) for j in range(3)] == [
+            solve_linear(a, b.col(j)) for j in range(3)
+        ]
+
+    def test_one_inconsistent_column_fails_the_whole_system(self):
+        a = QMat.from_rows([[1, 1], [1, 1]])
+        assert solve(a, QMat.from_rows([[1, 1], [1, 2]])) is None
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            solve(QMat.from_rows([[1, 0]]), QMat.zeros(2, 1))
 
 
 class TestLp:
