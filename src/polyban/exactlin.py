@@ -1,9 +1,12 @@
 """Exact rational scalars, vectors, matrices, and linear programming.
 
-Every quantity is a ``fractions.Fraction``; nothing in this module (or in the
-modules built on it) touches floating point.  Determinism matters as much as
-exactness here: elimination pivots, simplex pivots, and tie-breaks all follow
-fixed index order so that repeated runs produce identical results.
+Every quantity a caller sees is a ``fractions.Fraction``; nothing in this
+module (or in the modules built on it) touches floating point.  Elimination
+is fraction-free inside: `_rref` clears each row to integers, eliminates
+without division, and converts back to canonical fractions only at return.
+Determinism matters as much as exactness here: elimination pivots, simplex
+pivots, and tie-breaks all follow fixed index order so that repeated runs
+produce identical results.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, ParseError
@@ -154,12 +158,16 @@ class QMat:
 
     @staticmethod
     def identity(n: int) -> "QMat":
+        if n < 0:
+            raise DimensionMismatch(f"negative size {n}")
         return QMat.from_rows(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n
         )
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QMat":
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch(f"negative shape ({rows}, {cols})")
         return QMat(tuple((Fraction(0),) * cols for _ in range(rows)), (rows, cols))
 
     @staticmethod
@@ -168,6 +176,8 @@ class QMat:
             height = cols[0].dim
             if any(c.dim != height for c in cols):
                 raise DimensionMismatch("ragged columns")
+            if rows is not None and rows != height:
+                raise DimensionMismatch(f"declared rows {rows} != column height {height}")
         else:
             height = 0 if rows is None else rows
         return QMat.from_rows(
@@ -269,37 +279,61 @@ def block_diag(a: QMat, b: QMat) -> QMat:
     return top.vstack(bottom)
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n and the least d > 0 with ``values == n / d``."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """An integer vector divided by the gcd of its entries; signs are kept.
+
+    A zero vector, whose gcd is 0, comes back as it is.
+    """
+    g = gcd(*ints)
+    return ints if g <= 1 else [x // g for x in ints]
+
+
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (reduced rows, pivot columns).
+    """Reduced row echelon form; returns (reduced rows, pivot columns).
 
     Pivot choice is the first row with a nonzero entry in the current column,
-    scanning columns left to right: fully deterministic.
+    scanning columns left to right: fully deterministic.  The elimination runs
+    on integers: each row is cleared of denominators, ``p*row_i - f*row_r``
+    replaces a rational row operation, and every row is kept divided by the
+    gcd of its entries with its sign unchanged.  Each integer row is a nonzero
+    multiple of the rational row it stands for, so the pivots are the same;
+    a pivot row is divided by its pivot only at the end, and since the
+    reduced echelon form is unique, so is the result.
     """
     if not rows:
-        return rows, []
-    n_cols = len(rows[0])
+        return [], []
+    work = [_primitive(_cleared(row)[0]) for row in rows]
+    n_cols = len(work[0])
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
         pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
+        for i in range(r, len(work)):
+            if work[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = work[r]
+        p = top[c]
+        for i in range(len(work)):
+            f = work[i][c]
+            if i != r and f:
+                work[i] = _primitive([p * x - f * y for x, y in zip(work[i], top)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(work):
             break
-    return rows[:r], pivots
+    return [
+        [Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)
+    ], pivots
 
 
 def pivot_columns(a: QMat) -> list[int]:

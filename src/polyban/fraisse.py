@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable
 
 from .amalgam import _l1_quotient, pushout, square_sum
 from .banach import (
@@ -181,13 +181,6 @@ def _pad_matrix(small: int, big: int) -> QMat:
 def pad_map(small: Space, big: Space) -> LinMap:
     """Coordinate inclusion of a stage space into a later stage space."""
     return LinMap(_pad_matrix(small.dim, big.dim), small, big)
-
-
-def find_stage(chain: Chain, op: LinMap) -> Optional[int]:
-    for idx, stage in enumerate(chain.stages):
-        if stage.F == op:
-            return idx
-    return None
 
 
 def _stage_index(

@@ -10,6 +10,11 @@ polar ball, whose H-description is the vrep.  A listed functional is a facet
 exactly when its tight vertex set is nonempty and strictly inside no other
 signed functional's tight set; no rank is taken to find facets.
 
+The double description runs on Python integers: constraints and vertices
+are integer vectors, and ``Fraction`` appears only at the boundary, in the
+functionals read and the vertices returned; a ball holds canonical
+rationals only.
+
 Symmetry is exploited throughout: only one representative per antipodal pair
 is stored, with the canonical sign making the first nonzero coordinate
 positive, and representatives sorted lexicographically.
@@ -19,11 +24,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, DimensionMismatch, NotANorm, VerificationError
 from .exactlin import (
-    OPTIMAL, LpProblem, QMat, QVec, invert, lp_solve, pivot_columns, rank
+    OPTIMAL,
+    LpProblem,
+    QMat,
+    QVec,
+    _cleared,
+    _primitive,
+    invert,
+    lp_solve,
+    pivot_columns,
+    rank,
 )
 
 DIM_CAP = 8
@@ -93,6 +108,12 @@ def _enumerate_vertices(
     Constraints are indexed by signed functionals (+phi at 2k, -phi at 2k+1);
     the i-th returned mask has bit c set when signed constraint c is tight at
     the i-th vertex.  Raises NotANorm when the region is unbounded.
+
+    The arithmetic is on integers.  Signed constraint c reads ``a.x <= q``
+    with ``a`` an integer vector and ``q > 0``; a vertex is a homogeneous
+    integer vector ``(n, d)`` with ``d > 0``, standing for ``n / d`` and
+    divided by the gcd of its entries, so it is unique; and the sign of the
+    slack ``q*d - a.n`` tells inside, on and outside apart.
     """
     # Greedy independent subset to form the initial parallelotope.
     rows = QMat.from_rows([phi.entries for phi in functionals], cols=dim)
@@ -100,36 +121,41 @@ def _enumerate_vertices(
     if len(chosen) < dim:
         raise NotANorm("functionals do not span; the region is unbounded")
     base = QMat.from_rows([functionals[i].entries for i in chosen], cols=dim)
-    base_inv = invert(base)
+    # The inverse cleared to one denominator: inverse == cleared / den.
+    flat, den = _cleared([x for row in invert(base).entries for x in row])
+    cleared = [flat[i : i + dim] for i in range(0, dim * dim, dim)]
 
-    signed = [s for phi in functionals for s in (phi, -phi)]
+    signed: list[tuple[list[int], int]] = []
+    for phi in functionals:
+        a, q = _cleared(phi.entries)
+        signed.append((a, q))
+        signed.append(([-x for x in a], q))
 
-    # Initial vertices: base_inv applied to every sign vector s, where the
+    # Initial vertices: the inverse applied to every sign vector s, where the
     # chosen row i is tight with sign s_i (+phi_k at bit 2k, -phi_k at 2k+1).
-    vertices: list[QVec] = []
+    vertices: list[list[int]] = []
     masks: list[int] = []
     for bits in range(1 << dim):
-        s = QVec.of([1 if (bits >> i) & 1 == 0 else -1 for i in range(dim)])
-        vertices.append(base_inv.apply(s))
+        s = [1 if (bits >> i) & 1 == 0 else -1 for i in range(dim)]
+        vertices.append(_primitive([sum(map(mul, row, s)) for row in cleared] + [den]))
         masks.append(
             sum(1 << (2 * k + ((bits >> i) & 1)) for i, k in enumerate(chosen))
         )
     processed = {c for k in chosen for c in (2 * k, 2 * k + 1)}
 
     # Add the remaining signed constraints one at a time.
-    for c in range(len(signed)):
+    for c, (a, q) in enumerate(signed):
         if c in processed:
             continue
-        row = signed[c]
-        values = [row.dot(v) for v in vertices]
-        inside = [i for i, g in enumerate(values) if g < 1]
-        on = [i for i, g in enumerate(values) if g == 1]
-        outside = [i for i, g in enumerate(values) if g > 1]
+        slack = [q * v[-1] - sum(map(mul, a, v)) for v in vertices]
+        inside = [i for i, g in enumerate(slack) if g > 0]
+        on = [i for i, g in enumerate(slack) if g == 0]
+        outside = [i for i, g in enumerate(slack) if g < 0]
         if not outside:
             for i in on:
                 masks[i] |= 1 << c
             continue
-        new_vertices: list[QVec] = []
+        new_vertices: list[list[int]] = []
         new_masks: list[int] = []
         for i in inside:
             for j in outside:
@@ -143,9 +169,11 @@ def _enumerate_vertices(
                         break
                 if not adjacent:
                     continue
-                lam = (1 - values[i]) / (values[j] - values[i])
-                point = vertices[i] + (vertices[j] - vertices[i]).scale(lam)
-                new_vertices.append(point)
+                # The point of the edge where the slack is 0; both weights
+                # are positive, so the denominator stays positive.
+                si, sj = slack[i], slack[j]
+                point = [si * y - sj * x for x, y in zip(vertices[i], vertices[j])]
+                new_vertices.append(_primitive(point))
                 new_masks.append(common | (1 << c))
         on_set = set(on)
         keep_idx = inside + on
@@ -154,12 +182,12 @@ def _enumerate_vertices(
             masks[i] | ((1 << c) if i in on_set else 0) for i in keep_idx
         ] + new_masks
     # The points are distinct vertices with exact tight sets.  A new point
-    # lies strictly inside an edge, since 0 < lam < 1 between an inside and
-    # an outside vertex; the combinatorial test admits only true edges, and
-    # distinct edges have disjoint interiors, so no two points coincide; and
-    # a constraint tight inside an edge is tight along the whole edge, so
-    # common | bit c is the exact tight set.
-    return vertices, masks
+    # lies strictly inside an edge, since both weights are positive; the
+    # combinatorial test admits only true edges, and distinct edges have
+    # disjoint interiors, so no two points coincide; and a constraint tight
+    # inside an edge is tight along the whole edge, so common | bit c is the
+    # exact tight set.
+    return [QVec(tuple(Fraction(x, v[-1]) for x in v[:-1])) for v in vertices], masks
 
 
 def _vertices_and_facets(

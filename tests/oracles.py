@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from polyban.exactlin import QMat, QVec, rank, solve_linear
+from polyban.exactlin import QMat, QVec, solve_linear
 
 
 def _det(rows):
@@ -126,45 +126,151 @@ def brute_force_gauge(generators, point):
 
 
 def brute_force_vertices(functionals, dim):
-    """Vertices of {x : |phi(x)| <= 1} by trying all d-subsets of +-functionals.
+    """Vertices of {x : |phi(x)| <= 1} by trying all d-subsets of functionals.
 
-    Only subsets of rank dim define a point; a singular subset, even a
-    consistent one, meets the region in a face of positive dimension.
+    Only subsets of rank dim define a point, one for each sign vector s: the
+    solution of A x = s, by Cramer's rule with cofactor determinants.  A
+    singular subset, even a consistent one, meets the region in a face of
+    positive dimension.
     """
     signed = []
     for phi in functionals:
         vec = QVec.of(phi)
         signed.append(vec)
         signed.append(-vec)
-    ones = QVec.of([1] * dim)
     seen = set()
     vertices = []
-    for subset in itertools.combinations(range(len(signed)), dim):
-        mat = QMat.from_rows([signed[i].entries for i in subset], cols=dim)
-        if rank(mat) < dim:
+    for subset in itertools.combinations(range(len(functionals)), dim):
+        mat = [signed[2 * i].entries for i in subset]
+        det = _det(mat)
+        if det == 0:
             continue
-        x = solve_linear(mat, ones)
-        if any(abs(s.dot(x)) > 1 for s in signed):
-            continue
-        key = x.entries
-        if key not in seen:
-            seen.add(key)
-            vertices.append(x)
+        # adjugate[j][i] is the cofactor of entry (i, j), so x = adjugate s / det.
+        adjugate = [
+            [
+                (-1) ** (i + j)
+                * _det([row[:j] + row[j + 1 :] for k, row in enumerate(mat) if k != i])
+                for i in range(dim)
+            ]
+            for j in range(dim)
+        ]
+        for s in itertools.product((1, -1), repeat=dim):
+            x = QVec(tuple(sum(a * b for a, b in zip(row, s)) / det for row in adjugate))
+            if any(abs(t.dot(x)) > 1 for t in signed):
+                continue
+            key = x.entries
+            if key not in seen:
+                seen.add(key)
+                vertices.append(x)
     return vertices
 
 
 def brute_force_facets(functionals, dim):
-    """The functionals whose tight oracle vertices have affine rank dim - 1."""
+    """The functionals whose tight oracle vertices have affine rank dim - 1.
+
+    The tight vertices lie on the hyperplane phi = 1, which misses the
+    origin, so their affine rank is dim - 1 exactly when dim of them have a
+    nonzero determinant.
+    """
     vertices = brute_force_vertices(functionals, dim)
     facets = []
     for phi in functionals:
         vec = QVec.of(phi)
-        tight = [v for v in vertices if vec.dot(v) == 1]
-        if tight:
-            diffs = [(v - tight[0]).entries for v in tight[1:]]
-            if rank(QMat.from_rows(diffs, cols=dim)) == dim - 1:
-                facets.append(vec)
+        tight = [v.entries for v in vertices if vec.dot(v) == 1]
+        if any(_det(list(rows)) != 0 for rows in itertools.combinations(tight, dim)):
+            facets.append(vec)
     return facets
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan over Fractions.
+
+    Same pivot rule as the library's fraction-free elimination: the first
+    row with a nonzero entry in the current column, columns left to right.
+    Returns (reduced rows, pivot columns).
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def fraction_enumerate_vertices(functionals, dim):
+    """The double description of `polytope._enumerate_vertices` over Fractions.
+
+    Same initial parallelotope, constraint order, adjacency test and output
+    order, with every point a QVec of Fractions and the base inverse taken
+    by `fraction_rref`; returns (vertices, tight masks) or raises
+    AssertionError when the functionals do not span.
+    """
+    _, chosen = fraction_rref([[phi[j] for phi in functionals] for j in range(dim)])
+    assert len(chosen) == dim, "functionals do not span"
+    augmented = [
+        list(functionals[k].entries) + [Fraction(int(i == r)) for i in range(dim)]
+        for r, k in enumerate(chosen)
+    ]
+    base_inv = QMat.from_rows([row[dim:] for row in fraction_rref(augmented)[0]])
+
+    signed = [s for phi in functionals for s in (phi, -phi)]
+    vertices = []
+    masks = []
+    for bits in range(1 << dim):
+        s = QVec.of([1 if (bits >> i) & 1 == 0 else -1 for i in range(dim)])
+        vertices.append(base_inv.apply(s))
+        masks.append(
+            sum(1 << (2 * k + ((bits >> i) & 1)) for i, k in enumerate(chosen))
+        )
+    processed = {c for k in chosen for c in (2 * k, 2 * k + 1)}
+
+    for c in range(len(signed)):
+        if c in processed:
+            continue
+        row = signed[c]
+        values = [row.dot(v) for v in vertices]
+        inside = [i for i, g in enumerate(values) if g < 1]
+        on = [i for i, g in enumerate(values) if g == 1]
+        outside = [i for i, g in enumerate(values) if g > 1]
+        if not outside:
+            for i in on:
+                masks[i] |= 1 << c
+            continue
+        new_vertices = []
+        new_masks = []
+        for i in inside:
+            for j in outside:
+                common = masks[i] & masks[j]
+                if any(
+                    k != i and k != j and common & mk == common
+                    for k, mk in enumerate(masks)
+                ):
+                    continue
+                lam = (1 - values[i]) / (values[j] - values[i])
+                new_vertices.append(vertices[i] + (vertices[j] - vertices[i]).scale(lam))
+                new_masks.append(common | (1 << c))
+        on_set = set(on)
+        keep_idx = inside + on
+        vertices = [vertices[i] for i in keep_idx] + new_vertices
+        masks = [
+            masks[i] | ((1 << c) if i in on_set else 0) for i in keep_idx
+        ] + new_masks
+    return vertices, masks
 
 
 def sphere_min_by_facet_lp(matrix, domain, codomain):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyban.errors import DimensionMismatch, ParseError
@@ -14,6 +14,7 @@ from polyban.exactlin import (
     LpProblem,
     QMat,
     QVec,
+    _rref,
     kernel_basis,
     lp_solve,
     pivot_columns,
@@ -24,7 +25,7 @@ from polyban.exactlin import (
     solve_linear,
 )
 
-from oracles import brute_force_lp, greedy_columns, minor_rank
+from oracles import brute_force_lp, fraction_rref, greedy_columns, minor_rank
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12
@@ -63,6 +64,40 @@ def systems(draw):
             column = a.apply(draw_matrix(draw, a.cols, 1).col(0))
         columns.append(column)
     return a, QMat.from_cols(columns, rows=a.rows)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Rows of an up to 6 x 7 matrix: small and large denominators of both
+    signs, some rows and columns zeroed, and half of them of low rank."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entry = rationals | st.builds(
+        Fraction, st.integers(-(2**45), 2**45), st.sampled_from([1, 3, 7, 11, 2**40])
+    )
+    matrix = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if draw(st.booleans()) and rows and cols:
+        k = draw(st.integers(1, min(rows, cols)))
+        product = draw_matrix(draw, rows, k) @ QMat.from_rows(matrix[:k], cols=cols)
+        matrix = [list(row) for row in product.entries]
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    return [
+        [Fraction(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+
+
+class TestQMatShapes:
+    def test_negative_sizes_rejected(self):
+        for make in (lambda: QMat.zeros(-1, 2), lambda: QMat.zeros(2, -1), lambda: QMat.identity(-2)):
+            with pytest.raises(DimensionMismatch):
+                make()
+
+    def test_from_cols_checks_declared_height(self):
+        with pytest.raises(DimensionMismatch, match="declared rows 5 != column height 3"):
+            QMat.from_cols([qvec(1, 2, 3)], rows=5)
+        assert QMat.from_cols([qvec(1, 2, 3)], rows=3).shape == (3, 1)
+        assert QMat.from_cols([], rows=5).shape == (5, 0)
 
 
 class TestRat:
@@ -160,6 +195,14 @@ class TestRank:
     def test_pivot_columns_are_the_greedy_prefix_rank_choice(self, a):
         assert pivot_columns(a) == greedy_columns(a)
         assert rank(a) == minor_rank(a)
+
+
+class TestRref:
+    @given(elimination_inputs())
+    @settings(max_examples=120, deadline=None)
+    @example([[Fraction(0), Fraction(-3, 7)], [Fraction(0), Fraction(0)], [Fraction(2**40, 3), Fraction(1, 11)]])
+    def test_matches_fraction_gauss_jordan(self, rows):
+        assert _rref([list(row) for row in rows]) == fraction_rref(rows)
 
 
 class TestSolve:

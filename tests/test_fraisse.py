@@ -31,7 +31,6 @@ from polyban.fraisse import (
     embed_operator,
     ensure_dim,
     enumerate_tasks,
-    find_stage,
     g_witness,
     glue_task,
     identity_square,
@@ -44,6 +43,7 @@ from polyban.fraisse import (
     surjectivity_witness,
     zero_chain,
     zero_task,
+    _stage_index,
 )
 
 F = Fraction
@@ -645,11 +645,11 @@ class TestSquareHelpers:
         assert sq.defect == 0
         assert sq.S == sq.T == chain.stages[3].F
 
-    def test_find_stage(self):
+    def test_stage_index(self):
         chain = build_chain(6, dim_cap=4, seed=0)
-        assert find_stage(chain, chain.stages[5].F) == 5
+        assert _stage_index(chain, lambda st: st.F == chain.stages[5].F, "missing") == 5
         other = build_chain(3, dim_cap=2, seed=9)
         ln = other.stages[-1]
-        assert find_stage(chain, LinMap(QMat.from_rows([[F(1, 3)]]), ln.U, ln.V)) in (
-            None,
-        )
+        foreign = LinMap(QMat.from_rows([[F(1, 3)]]), ln.U, ln.V)
+        with pytest.raises(PreconditionError, match="^not a chain stage$"):
+            _stage_index(chain, lambda st: st.F == foreign, "not a chain stage")

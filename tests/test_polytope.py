@@ -7,12 +7,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_facets, brute_force_gauge, brute_force_vertices
+from oracles import (
+    brute_force_facets,
+    brute_force_gauge,
+    brute_force_vertices,
+    fraction_enumerate_vertices,
+)
 from polyban.banach import Space
 from polyban.errors import CapExceeded, NotANorm, VerificationError
 from polyban.exactlin import QMat, QVec, rank
 from polyban.polytope import (
     Ball,
+    _enumerate_vertices,
     canon_set,
     canon_sign,
     complete_representations,
@@ -45,16 +51,23 @@ class TestCanon:
         assert out == vecs((0, 1), (1, 0))
 
 
+# Column scales: mixed and large denominators, and both signs.
+SCALES = (Fraction(1), Fraction(1, 7), Fraction(3, 11), Fraction(2**40, 3), Fraction(-5, 2))
+
+
 @st.composite
-def touching_rows(draw):
-    """Cube or cross-polytope rows plus redundant rows that touch the ball.
+def touching_rows(draw, max_cube_dim=5, max_cross_dim=3):
+    """Cube or cross-polytope rows plus redundant rows that touch the ball,
+    with column j then multiplied by a drawn scale t_j.
 
     A row of l1 norm 1 is valid on the cube, and a row of sup norm 1 on the
     cross-polytope; each is tight on a face, mostly one below a facet, so
-    the hrep is not simple.  As a vrep, neither is the polar's.
+    the hrep is not simple.  As a vrep, neither is the polar's.  The scaled
+    rows describe diag(t)^-1 of that ball, so the redundant rows still touch
+    it, and the rows have mixed and large denominators.
     """
     cube = draw(st.booleans())
-    dim = draw(st.integers(2, 5 if cube else 3))
+    dim = draw(st.integers(1, max_cube_dim if cube else max_cross_dim))
     if cube:
         rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
     else:
@@ -63,7 +76,8 @@ def touching_rows(draw):
     for row in draw(st.lists(sign_rows, min_size=1, max_size=2 if dim < 5 else 1)):
         scale = sum(map(abs, row)) if cube else 1
         rows.append([Fraction(x, scale) for x in row])
-    return rows
+    scales = draw(st.lists(st.sampled_from(SCALES), min_size=dim, max_size=dim))
+    return [[x * t for x, t in zip(row, scales)] for row in rows]
 
 
 class TestConversions:
@@ -142,6 +156,35 @@ class TestConversions:
         ball = complete_from_hrep(3, funcs)
         assert ball.vrep == vecs((0, 0, 1), (0, 1, 0), (1, 0, 0))
         assert ball.hrep == canon_set(funcs)
+
+
+class TestIntegerEnumeration:
+    """The integer double description against its Fraction form; the brute
+    force comparison is TestConversions.test_matches_brute_force_vertices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(touching_rows(max_cube_dim=8, max_cross_dim=6))
+    @example([[Fraction(1, 7), 0, 0], [0, Fraction(3, 11), 0], [0, 0, Fraction(2**40, 3)],
+              [Fraction(1, 21), Fraction(1, 11), Fraction(2**40, 9)]])
+    def test_same_vertices_and_masks_as_fraction_path(self, rows):
+        dim = len(rows[0])
+        functionals = [QVec.of(row) for row in rows]
+        assert _enumerate_vertices(functionals, dim) == fraction_enumerate_vertices(
+            functionals, dim
+        )
+
+    def test_completion_takes_no_rational_products(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("completion must not take a rational product")
+
+        units = [[int(i == j) for j in range(6)] for i in range(6)]
+        signs = [[1, *s] for s in itertools.product([1, -1], repeat=5)]
+        for owner, name in ((QVec, "dot"), (QVec, "scale"), (QMat, "apply")):
+            monkeypatch.setattr(owner, name, forbidden)
+        l1 = complete_from_vrep(6, units)
+        assert (l1.vrep, l1.hrep) == (canon_set(vecs(*units)), canon_set(vecs(*signs)))
+        linf = complete_from_hrep(6, units)
+        assert (linf.vrep, linf.hrep) == (canon_set(vecs(*signs)), canon_set(vecs(*units)))
 
 
 class TestValidation:
