@@ -7,7 +7,9 @@ Three devices, all exact:
 * ``correction_sum`` absorbs the defect of an almost-commuting pair: it
   embeds X and Y isometrically into one space Z0 in which jY(f(x)) sits
   within eps of iX(x).  Its unit ball is the hull of both balls together
-  with the graph segment generators (w, -f(w)) for ||w|| <= 1/eps.
+  with the graph segment generators (w, -f(w)) for ||w|| <= 1/eps, so its
+  norm at v is the infimum of ||x|| + ||y|| + eps*||w|| over the
+  decompositions v = (x + w, y - f(w)).
 * ``square_sum`` joins two correction sums into a single nonexpansive
   block map turning a delta-commutative square into an exactly commuting
   one.
@@ -37,7 +39,6 @@ from .banach import (
 )
 from .errors import DimensionMismatch, PreconditionError, VerificationError
 from .exactlin import QMat, QVec, _rref, block_diag, rat, solve
-from .polytope import Ball, canon_set, gauge_vrep
 from .report import Check, certify, check_eq, check_le, check_true
 
 
@@ -194,21 +195,6 @@ def correction_sum(f: LinMap, eps) -> CorrectionResult:
         check_le("dist(iX, jY o f) <= eps", map_distance(iX, jY.compose(f)), eps),
     )
     return CorrectionResult(Z0, iX, jY, eps, f, checks)
-
-
-def correction_norm_inf(c: CorrectionResult, v: QVec) -> Fraction:
-    """The infimum-formula norm, evaluated as a gauge LP over the raw
-    generators; must agree with norm_eval(c.Z0, v) from the completed hull.
-
-    The decomposition v = (x + w, y - f(w)) with cost ||x|| + ||y|| +
-    eps*||w|| corresponds exactly to conic combinations of the three
-    generator families, so the LP value is the infimum itself.
-    """
-    if v.dim != c.Z0.dim:
-        raise DimensionMismatch(f"point dim {v.dim} != {c.Z0.dim}")
-    X, Y = c.f.domain, c.f.codomain
-    gens = _l1_generators(X, Y) + _correction_generators(c.f, c.eps)
-    return gauge_vrep(Ball(c.Z0.dim, canon_set(gens), None), v)
 
 
 def mediating_map(c: CorrectionResult, i: LinMap, j: LinMap) -> LinMap:

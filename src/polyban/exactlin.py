@@ -1,12 +1,14 @@
-"""Exact rational scalars, vectors, matrices, and linear programming.
+"""Exact rational scalars, vectors, matrices, elimination, and the simplex.
 
 Every quantity a caller sees is a ``fractions.Fraction``; nothing in this
 module (or in the modules built on it) touches floating point.  Elimination
 is fraction-free inside: `_rref` clears each row to integers, eliminates
 without division, and converts back to canonical fractions only at return.
-Determinism matters as much as exactness here: elimination pivots, simplex
-pivots, and tie-breaks all follow fixed index order so that repeated runs
-produce identical results.
+The exact simplex `lp_solve` takes standard-form problems only (minimize
+over nonnegative variables, ``<=`` and ``=`` rows); it is the LP behind
+`rationalize.extend_functional`.  Determinism matters as much as exactness
+here: elimination pivots, simplex pivots, and tie-breaks all follow fixed
+index order so that repeated runs produce identical results.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, ParseError
 
-Rat = Fraction
-
 RatLike = Union[int, str, Fraction]
 
 OPTIMAL = "optimal"
@@ -30,7 +30,6 @@ UNBOUNDED = "unbounded"
 
 LE = "<="
 EQ = "="
-GE = ">="
 
 _RAT_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -252,10 +251,6 @@ class QMat:
             self.shape,
         )
 
-    def scale(self, factor: RatLike) -> "QMat":
-        c = rat(factor)
-        return QMat(tuple(tuple(c * a for a in row) for row in self.entries), self.shape)
-
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.entries for a in row)
 
@@ -388,30 +383,6 @@ def solve_linear(a: QMat, b: QVec) -> Optional[QVec]:
     return None if x is None else x.col(0)
 
 
-def kernel_basis(a: QMat) -> list[QVec]:
-    """Deterministic kernel basis from the reduced echelon form.
-
-    One basis vector per free column, in ascending column order: the free
-    coordinate is 1 and pivot coordinates are back-filled.
-
-    Examples:
-        >>> kernel_basis(QMat.from_rows([[1, 1]]))
-        [QVec(entries=(Fraction(-1, 1), Fraction(1, 1)))]
-    """
-    reduced, pivots = _rref([list(row) for row in a.entries])
-    pivot_set = set(pivots)
-    basis: list[QVec] = []
-    for free in range(a.cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * a.cols
-        vec[free] = Fraction(1)
-        for row, col in zip(reduced, pivots):
-            vec[col] = -row[free]
-        basis.append(QVec(tuple(vec)))
-    return basis
-
-
 def invert(a: QMat) -> QMat:
     """Exact inverse of a square matrix; raises if singular."""
     if a.rows != a.cols:
@@ -424,28 +395,23 @@ def invert(a: QMat) -> QMat:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """A linear program over free rational variables.
+    """A linear program in standard form: minimize ``objective . x`` over x >= 0.
 
-    ``constraints`` are (coefficients, relation, bound) with relation one of
-    ``<=``, ``=``, ``>=``.  ``nonneg`` optionally marks variables as >= 0 so
-    the solver does not have to split them; it defaults to all-free.
+    ``constraints`` are (coefficients, relation, bound) with relation ``<=``
+    or ``=``.  A free variable is posed as a (+, -) pair of columns, a
+    maximum as the minimum of the negated objective, and a ``>=`` row as a
+    negated ``<=`` row.
     """
 
     objective: QVec
     constraints: tuple[tuple[QVec, str, Fraction], ...]
-    sense: str = "max"
-    nonneg: Optional[tuple[bool, ...]] = None
 
     def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"bad sense: {self.sense}")
         for coeffs, relation, _ in self.constraints:
-            if relation not in (LE, EQ, GE):
+            if relation not in (LE, EQ):
                 raise ValueError(f"bad relation: {relation}")
             if coeffs.dim != self.objective.dim:
                 raise DimensionMismatch("constraint width != objective width")
-        if self.nonneg is not None and len(self.nonneg) != self.objective.dim:
-            raise DimensionMismatch("nonneg flags width != objective width")
 
 
 def lp_solve(problem: LpProblem) -> tuple[str, Optional[tuple[Fraction, QVec]]]:
@@ -457,86 +423,36 @@ def lp_solve(problem: LpProblem) -> tuple[str, Optional[tuple[Fraction, QVec]]]:
     deterministic and cycle-free.
     """
     n = problem.objective.dim
-    nonneg = problem.nonneg or (False,) * n
-    # Column layout: one column per nonnegative variable, two (plus/minus) per
-    # free variable, then slack columns, then artificials.
-    col_of_var: list[tuple[int, Optional[int]]] = []
-    n_struct = 0
-    for flag in nonneg:
-        if flag:
-            col_of_var.append((n_struct, None))
-            n_struct += 1
-        else:
-            col_of_var.append((n_struct, n_struct + 1))
-            n_struct += 2
-
-    def expand(coeffs: QVec) -> list[Fraction]:
-        row = [Fraction(0)] * n_struct
-        for j, value in enumerate(coeffs.entries):
-            if value == 0:
-                continue
-            pos, neg = col_of_var[j]
-            row[pos] += value
-            if neg is not None:
-                row[neg] -= value
-        return row
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_info: list[tuple[int, Fraction]] = []  # (row index, slack sign)
-    for coeffs, relation, bound in problem.constraints:
-        row = expand(coeffs)
-        b = rat(bound)
+    m = len(problem.constraints)
+    # Column layout: the variables, one slack per <= row, then one artificial
+    # per row whose slack cannot start basic: an = row, or a <= row with a
+    # negative bound, which is negated so that every bound is nonnegative.
+    slack_col: dict[int, int] = {}
+    for i, (_, relation, _) in enumerate(problem.constraints):
         if relation == LE:
-            sign = Fraction(1)
-        elif relation == GE:
-            sign = Fraction(-1)
-        else:
-            sign = Fraction(0)
-        rows.append(row)
-        rhs.append(b)
-        slack_info.append((len(rows) - 1, sign))
+            slack_col[i] = n + len(slack_col)
+    total_core = n + len(slack_col)
+    art_col: dict[int, int] = {}
+    for i, (_, relation, bound) in enumerate(problem.constraints):
+        if relation == EQ or rat(bound) < 0:
+            art_col[i] = total_core + len(art_col)
+    art_cols = list(art_col.values())
+    width = total_core + len(art_cols)
 
-    m = len(rows)
-    n_slack = sum(1 for _, sign in slack_info if sign != 0)
-    slack_col = {}
-    k = n_struct
-    for i, sign in slack_info:
-        if sign != 0:
-            slack_col[i] = k
-            k += 1
-    total_core = n_struct + n_slack
-
-    # Tableau rows over core columns; normalize to b >= 0.
     tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = rows[i] + [Fraction(0)] * n_slack + [rhs[i]]
+    basis: list[int] = []
+    for i, (coeffs, _, bound) in enumerate(problem.constraints):
+        row = list(coeffs.entries) + [Fraction(0)] * (width - n) + [rat(bound)]
         if i in slack_col:
-            row[slack_col[i]] = slack_info[i][1]
+            row[slack_col[i]] = Fraction(1)
         if row[-1] < 0:
             row = [-x for x in row]
-        tab.append(row)
-
-    # Initial basis: slack column where it is +1 after normalization,
-    # otherwise an artificial.
-    basis: list[int] = [-1] * m
-    art_cols: list[int] = []
-    width = total_core
-    for i in range(m):
-        j = slack_col.get(i)
-        if j is not None and tab[i][j] == 1:
-            basis[i] = j
+        if i in art_col:
+            row[art_col[i]] = Fraction(1)
+            basis.append(art_col[i])
         else:
-            basis[i] = width
-            art_cols.append(width)
-            width += 1
-    for i in range(m):
-        row = tab[i]
-        core, b = row[:-1], row[-1]
-        padded = core + [Fraction(0)] * (width - total_core) + [b]
-        if basis[i] >= total_core:
-            padded[basis[i]] = Fraction(1)
-        tab[i] = padded
+            basis.append(slack_col[i])
+        tab.append(row)
 
     def pivot(row_index: int, col_index: int) -> None:
         inv = Fraction(1) / tab[row_index][col_index]
@@ -606,11 +522,7 @@ def lp_solve(problem: LpProblem) -> tuple[str, Optional[tuple[Fraction, QVec]]]:
         # Rows still basic in an artificial are identically zero: harmless.
 
     # Phase 2 over core columns only.
-    sense_factor = Fraction(1) if problem.sense == "min" else Fraction(-1)
-    cost2 = [Fraction(0)] * width
-    objective_row = expand(problem.objective)
-    for j in range(n_struct):
-        cost2[j] = sense_factor * objective_row[j]
+    cost2 = list(problem.objective.entries) + [Fraction(0)] * (width - n)
     status = run_simplex(cost2, total_core, frozenset())
     if status == UNBOUNDED:
         return UNBOUNDED, None
@@ -618,12 +530,5 @@ def lp_solve(problem: LpProblem) -> tuple[str, Optional[tuple[Fraction, QVec]]]:
     values = [Fraction(0)] * width
     for i in range(m):
         values[basis[i]] = tab[i][-1]
-    point = []
-    for j in range(n):
-        pos, neg = col_of_var[j]
-        x = values[pos] - (values[neg] if neg is not None else Fraction(0))
-        point.append(x)
-    value = sum(
-        (problem.objective[j] * point[j] for j in range(n)), Fraction(0)
-    )
-    return OPTIMAL, (value, QVec(tuple(point)))
+    point = QVec(tuple(values[:n]))
+    return OPTIMAL, (problem.objective.dot(point), point)

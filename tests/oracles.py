@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from polyban.exactlin import QMat, QVec, solve_linear
+from polyban.exactlin import OPTIMAL, LpProblem, QMat, QVec, lp_solve, solve_linear
+from polyban.polytope import Ball, canon_set
 
 
 def _det(rows):
@@ -273,16 +274,57 @@ def fraction_enumerate_vertices(functionals, dim):
     return vertices, masks
 
 
+def gauge_vrep(ball, point):
+    """Gauge of a ball at a point, by LP over its V-representation.
+
+    min sum(mu) s.t. sum mu_g * g = point over the signed vertices g, mu >=
+    0: a standard-form LP as it stands.  This is the vrep-side route;
+    `polyban.banach.norm_eval` is the hrep-side route, and the two must
+    agree exactly on completed balls.
+    """
+    if ball.dim == 0:
+        return Fraction(0)
+    signed = ball.signed_vrep()
+    rows = tuple(
+        (QVec.of([g[i] for g in signed]), "=", point[i]) for i in range(ball.dim)
+    )
+    status, payload = lp_solve(LpProblem(QVec.of([1] * len(signed)), rows))
+    assert status == OPTIMAL, "point is outside the span of the ball"
+    return payload[0]
+
+
+def correction_norm_inf(c, v):
+    """The correction sum's infimum formula, as a gauge LP over raw generators.
+
+    The decomposition v = (x + w, y - f(w)) with cost ||x|| + ||y|| +
+    eps*||w|| corresponds exactly to conic combinations of three generator
+    families: (x, 0) and (0, y) over the vertices of X and Y, and
+    (w, -f(w)) / eps over the vertices w of X.  So the LP value is the
+    infimum itself, and it must agree with norm_eval(c.Z0, v) from the
+    completed hull.
+    """
+    X, Y, inv = c.f.domain, c.f.codomain, 1 / c.eps
+    zero_x, zero_y = QVec.zero(X.dim), QVec.zero(Y.dim)
+    gens = [x.concat(zero_y) for x in X.ball.vrep]
+    gens += [zero_x.concat(y) for y in Y.ball.vrep]
+    gens += [x.scale(inv).concat(c.f(x).scale(-inv)) for x in X.ball.vrep]
+    return gauge_vrep(Ball(c.Z0.dim, canon_set(gens), None), v)
+
+
+def split(values):
+    """Coefficients of free variables on their (+, -) column pairs."""
+    return [c for x in values for c in (x, -x)]
+
+
 def sphere_min_by_facet_lp(matrix, domain, codomain):
     """Min of the image norm over the domain sphere, one LP per facet.
 
     Primal form: parameterize the facet by barycentric weights over its
     vertices and minimize the epigraph variable t bounding every signed
-    codomain functional of the image.  Independent of the pullback-ball
-    computation in the library.
+    codomain functional of the image.  Both signs of every functional are
+    rows, so t >= 0 is implied and the LP is in standard form as it stands.
+    Independent of the pullback-ball computation in the library.
     """
-    from polyban.exactlin import LpProblem, lp_solve, OPTIMAL
-
     signed_psi = codomain.ball.signed_hrep()
     signed_verts = domain.ball.signed_vrep()
     best = None
@@ -294,12 +336,7 @@ def sphere_min_by_facet_lp(matrix, domain, codomain):
         for psi in signed_psi:
             row = [psi.dot(img) for img in images] + [Fraction(-1)]
             constraints.append((QVec.of(row), "<=", Fraction(0)))
-        problem = LpProblem(
-            objective=QVec.of([0] * k + [1]),
-            constraints=tuple(constraints),
-            sense="min",
-            nonneg=(True,) * k + (False,),
-        )
+        problem = LpProblem(QVec.of([0] * k + [1]), tuple(constraints))
         status, payload = lp_solve(problem)
         assert status == OPTIMAL
         if best is None or payload[0] < best:
@@ -308,21 +345,17 @@ def sphere_min_by_facet_lp(matrix, domain, codomain):
 
 
 def coset_min_norm(space, kernel, x):
-    """Quotient norm of x + span(kernel) by a direct epigraph LP over offsets."""
-    from polyban.exactlin import LpProblem, lp_solve, OPTIMAL
+    """Quotient norm of x + span(kernel) by a direct epigraph LP over offsets.
 
+    The offsets are free, so each is a (+, -) pair of columns; t >= 0 is
+    implied, since both signs of every functional bound it.
+    """
     k = len(kernel)
-    signed_phi = space.ball.signed_hrep()
     constraints = []
-    for phi in signed_phi:
-        row = [phi.dot(kv) for kv in kernel] + [Fraction(-1)]
+    for phi in space.ball.signed_hrep():
+        row = split([phi.dot(kv) for kv in kernel]) + [Fraction(-1)]
         constraints.append((QVec.of(row), "<=", -phi.dot(x)))
-    problem = LpProblem(
-        objective=QVec.of([0] * k + [1]),
-        constraints=tuple(constraints),
-        sense="min",
-        nonneg=(False,) * k + (False,),
-    )
+    problem = LpProblem(QVec.of([0] * (2 * k) + [1]), tuple(constraints))
     status, payload = lp_solve(problem)
     assert status == OPTIMAL
     return payload[0]

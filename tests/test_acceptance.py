@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from polyban.amalgam import (
-    correction_norm_inf,
     correction_sum,
     mediating_map,
     pushout,
@@ -65,6 +64,7 @@ from polyban.rationalize import repair_norm, repair_operator
 from oracles import (
     brute_force_gauge,
     brute_force_vertices,
+    correction_norm_inf,
     coset_min_norm,
     sphere_min_by_facet_lp,
 )

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyban.amalgam import (
-    correction_norm_inf,
     correction_sum,
     mediating_map,
     pushout,
@@ -26,11 +25,12 @@ from polyban.banach import (
     norm_eval,
     operator_norm,
     quotient,
+    space_from_vrep,
     zero_space,
 )
 from polyban.errors import PreconditionError
 from polyban.exactlin import QMat, QVec, _rref
-from polyban.polytope import Ball, canon_set, symmetric_hull
+from oracles import correction_norm_inf
 from test_banach import matrices, vrep_spaces
 
 
@@ -38,9 +38,8 @@ def lmap(rows, domain, codomain):
     return LinMap(QMat.from_rows(rows, cols=domain.dim), domain, codomain)
 
 
-def image_part(leg):
-    gens = [leg(v) for v in leg.domain.ball.vrep]
-    return Ball(leg.codomain.dim, canon_set(gens), None)
+def image_gens(leg):
+    return [leg(v) for v in leg.domain.ball.vrep]
 
 
 @st.composite
@@ -48,7 +47,10 @@ def nonexpansive_maps(draw, domain, codomain):
     """A random map scaled down to norm at most 1."""
     T = lmap(draw(matrices(codomain.dim, domain.dim)), domain, codomain)
     norm = operator_norm(T)
-    return LinMap(T.matrix.scale(1 / norm), domain, codomain) if norm > 1 else T
+    if norm <= 1:
+        return T
+    scaled = [[x / norm for x in row] for row in T.matrix.entries]
+    return LinMap(QMat.from_rows(scaled, cols=domain.dim), domain, codomain)
 
 
 class TestPushout:
@@ -97,8 +99,8 @@ class TestPushout:
         i = lmap([[1], [0]], Z, X)
         f = lmap([[Fraction(1, 2)], [Fraction(1, 2)]], Z, Y)
         got = pushout(i, f)
-        hull = symmetric_hull(got.W.dim, [image_part(got.g), image_part(got.j)])
-        assert got.W.ball == hull
+        hull = space_from_vrep(got.W.dim, image_gens(got.g) + image_gens(got.j))
+        assert got.W.ball == hull.ball
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -32,7 +32,7 @@ from polyban.banach import (
     zero_space,
 )
 from polyban.errors import DimensionMismatch, NotANorm, PreconditionError
-from polyban.exactlin import QMat, QVec, rank
+from polyban.exactlin import QMat, QVec, rank, rat
 from polyban.polytope import Ball
 
 
@@ -179,7 +179,8 @@ class TestLowerIsometryBound:
             extra = data.draw(st.integers(0, 4 - dom_dim))
             codomain, T, _ = l1_sum(domain, data.draw(vrep_spaces(extra)))
             scale = data.draw(st.sampled_from(["1", "1/2", "3/2"]))
-            T = LinMap(T.matrix.scale(scale), domain, codomain)
+            scaled = [[rat(scale) * x for x in row] for row in T.matrix.entries]
+            T = LinMap(QMat.from_rows(scaled, cols=dom_dim), domain, codomain)
         elif kind == "pullback":
             # B is isometric from its pullback space; so is B with one entry
             # moved only by chance.

@@ -15,7 +15,6 @@ from polyban.exactlin import (
     QMat,
     QVec,
     _rref,
-    kernel_basis,
     lp_solve,
     pivot_columns,
     rank,
@@ -25,7 +24,7 @@ from polyban.exactlin import (
     solve_linear,
 )
 
-from oracles import brute_force_lp, fraction_rref, greedy_columns, minor_rank
+from oracles import brute_force_lp, fraction_rref, greedy_columns, minor_rank, split
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12
@@ -155,35 +154,6 @@ class TestSolveLinear:
             solve_linear(QMat.from_rows([[1, 0]]), qvec(1, 2))
 
 
-class TestKernel:
-    def test_line_kernel(self):
-        assert kernel_basis(QMat.from_rows([[1, 1]])) == [qvec(-1, 1)]
-
-    def test_full_rank_kernel_empty(self):
-        assert kernel_basis(QMat.identity(3)) == []
-
-    def test_zero_map(self):
-        basis = kernel_basis(QMat.zeros(2, 2))
-        assert basis == [qvec(1, 0), qvec(0, 1)]
-
-    @given(
-        st.lists(
-            st.lists(rationals, min_size=3, max_size=3),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_rank_nullity_and_membership(self, rows):
-        a = QMat.from_rows(rows, cols=3)
-        basis = kernel_basis(a)
-        assert rank(a) + len(basis) == 3
-        for vec in basis:
-            assert a.apply(vec).is_zero()
-        # Basis vectors are echelon-normalized, hence independent.
-        assert rank(QMat.from_rows([v.entries for v in basis], cols=3)) == len(basis)
-
-
 class TestRank:
     def test_examples(self):
         assert rank(QMat.from_rows([[1, 2], [2, 4]])) == 1
@@ -241,73 +211,60 @@ class TestSolve:
 
 
 class TestLp:
+    """Standard form: minimize over x >= 0 with <= and = rows.  A maximum is
+    posed as the minimum of -c, a >= row as a negated <= row, and a free
+    variable as a (+, -) pair of columns."""
+
     def test_square_maximum(self):
-        # max x + y over the square [-1, 1]^2: optimum 2 at (1, 1).
+        # max x + y over the square [-1, 1]^2: optimum 2 at (1, 1).  The
+        # free x and y are the pairs (x+, x-), (y+, y-).
         problem = LpProblem(
-            objective=qvec(1, 1),
+            objective=qvec(-1, 1, -1, 1),
             constraints=(
-                (qvec(1, 0), "<=", Fraction(1)),
-                (qvec(-1, 0), "<=", Fraction(1)),
-                (qvec(0, 1), "<=", Fraction(1)),
-                (qvec(0, -1), "<=", Fraction(1)),
+                (qvec(1, -1, 0, 0), "<=", Fraction(1)),
+                (qvec(-1, 1, 0, 0), "<=", Fraction(1)),
+                (qvec(0, 0, 1, -1), "<=", Fraction(1)),
+                (qvec(0, 0, -1, 1), "<=", Fraction(1)),
             ),
-            sense="max",
         )
         status, payload = lp_solve(problem)
         assert status == OPTIMAL
         value, point = payload
-        assert value == 2
-        assert point == qvec(1, 1)
+        assert -value == 2
+        assert (point[0] - point[1], point[2] - point[3]) == (1, 1)
 
     def test_infeasible(self):
+        # x <= 0 and x >= 1, the second as -x <= -1.
         problem = LpProblem(
-            objective=qvec(1),
+            objective=qvec(-1),
             constraints=(
                 (qvec(1), "<=", Fraction(0)),
-                (qvec(1), ">=", Fraction(1)),
+                (qvec(-1), "<=", Fraction(-1)),
             ),
-            sense="max",
         )
         assert lp_solve(problem) == (INFEASIBLE, None)
 
     def test_unbounded(self):
-        problem = LpProblem(
-            objective=qvec(1),
-            constraints=((qvec(1), ">=", Fraction(0)),),
-            sense="max",
-        )
-        assert lp_solve(problem) == (UNBOUNDED, None)
+        # max x over x >= 0, with no row at all.
+        assert lp_solve(LpProblem(qvec(-1), ())) == (UNBOUNDED, None)
 
     def test_equality_and_min(self):
-        # min x + 2y on the segment x + y = 1, 0 <= x <= 1, y >= 0.
+        # min x + 2y on the segment x + y = 1, x <= 1, x, y >= 0.
         problem = LpProblem(
             objective=qvec(1, 2),
             constraints=(
                 (qvec(1, 1), "=", Fraction(1)),
                 (qvec(1, 0), "<=", Fraction(1)),
-                (qvec(1, 0), ">=", Fraction(0)),
-                (qvec(0, 1), ">=", Fraction(0)),
             ),
-            sense="min",
         )
         status, (value, point) = lp_solve(problem)
         assert status == OPTIMAL
         assert value == 1
         assert point == qvec(1, 0)
 
-    def test_nonneg_flag_matches_explicit_rows(self):
-        objective = qvec(2, 3)
-        rows = (
-            (qvec(1, 2), "<=", Fraction(4)),
-            (qvec(3, 1), "<=", Fraction(5)),
-        )
-        flagged = LpProblem(objective, rows, sense="max", nonneg=(True, True))
-        explicit = LpProblem(
-            objective,
-            rows + ((qvec(1, 0), ">=", Fraction(0)), (qvec(0, 1), ">=", Fraction(0))),
-            sense="max",
-        )
-        assert lp_solve(flagged)[1][0] == lp_solve(explicit)[1][0]
+    def test_rejects_ge_relation(self):
+        with pytest.raises(ValueError, match="bad relation: >="):
+            LpProblem(qvec(1), ((qvec(1), ">=", Fraction(0)),))
 
     @given(
         st.lists(rationals, min_size=2, max_size=2),
@@ -331,32 +288,29 @@ class TestLp:
         ]
         for coeffs, bound in extra_rows:
             constraints.append((coeffs, "<=", bound))
+        # max c.x over free x is min -c.x over the pairs (x+, x-).
         problem = LpProblem(
-            objective=QVec.of(objective),
+            objective=QVec.of(split([-c for c in objective])),
             constraints=tuple(
-                (QVec.of(c), relation, Fraction(b)) for c, relation, b in constraints
+                (QVec.of(split(c)), relation, Fraction(b)) for c, relation, b in constraints
             ),
-            sense="max",
         )
         status, payload = lp_solve(problem)
         assert status == OPTIMAL
         expected_value, _ = brute_force_lp(objective, constraints, sense="max")
-        assert payload[0] == expected_value
+        assert -payload[0] == expected_value
 
     def test_determinism(self):
+        # max x + y + z over x, y, z >= 0 with the pairwise sums at most 1.
         problem = LpProblem(
-            objective=qvec(1, 1, 1),
+            objective=qvec(-1, -1, -1),
             constraints=(
                 (qvec(1, 1, 0), "<=", Fraction(1)),
                 (qvec(0, 1, 1), "<=", Fraction(1)),
                 (qvec(1, 0, 1), "<=", Fraction(1)),
-                (qvec(-1, 0, 0), "<=", Fraction(0)),
-                (qvec(0, -1, 0), "<=", Fraction(0)),
-                (qvec(0, 0, -1), "<=", Fraction(0)),
             ),
-            sense="max",
         )
         results = {lp_solve(problem) for _ in range(3)}
         assert len(results) == 1
         status, (value, point) = next(iter(results))
-        assert value == Fraction(3, 2)
+        assert value == Fraction(-3, 2)

@@ -12,6 +12,7 @@ from oracles import (
     brute_force_gauge,
     brute_force_vertices,
     fraction_enumerate_vertices,
+    gauge_vrep,
 )
 from polyban.banach import Space
 from polyban.errors import CapExceeded, NotANorm, VerificationError
@@ -22,9 +23,7 @@ from polyban.polytope import (
     canon_set,
     canon_sign,
     complete_representations,
-    gauge_vrep,
     image_ball,
-    symmetric_hull,
 )
 
 
@@ -215,6 +214,40 @@ class TestValidation:
         ball = Ball(2, vecs((0, 1), (1, 0)), vecs((1, -1), (1, 1), (1, 0)))
         assert complete_representations(ball).hrep == vecs((1, -1), (1, 1))
 
+    @pytest.mark.parametrize(
+        "extra, ok",
+        [
+            # Valid on the hexagon hull of (1, 0), (0, 1), (1, 1), no facets.
+            (((Fraction(1, 2), Fraction(1, 2)),), True),
+            (((1, Fraction(-1, 2)), (Fraction(1, 3), 0)), True),
+            # Each cuts a generator: (1, 1) or (0, 1) or (1, 0).
+            (((1, 0), (1, 1)), False),
+            (((0, Fraction(3, 2)),), False),
+            (((Fraction(1, 2), Fraction(1, 2)), (2, -1)), False),
+        ],
+    )
+    def test_declared_redundant_rows(self, extra, ok):
+        hull = complete_from_vrep(2, ((1, 0), (0, 1), (1, 1)))
+        ball = Ball(2, hull.vrep, hull.hrep + vecs(*extra))
+        if ok:
+            assert complete_representations(ball) == hull
+        else:
+            with pytest.raises(NotANorm, match="vrep point violates declared hrep"):
+                complete_representations(ball)
+
+    def test_declared_facets_take_no_products(self, monkeypatch):
+        """A declared hrep that is the hull's facet list is not tested
+        against the generators again: they satisfy their own facets."""
+        units = [[int(i == j) for j in range(6)] for i in range(6)]
+        signs = [[1, *s] for s in itertools.product([1, -1], repeat=5)]
+
+        def forbidden(*args):
+            raise AssertionError("rational product in the declared-hrep check")
+
+        monkeypatch.setattr(QVec, "dot", forbidden)
+        ball = Ball(6, vecs(*units), vecs(*signs))
+        assert complete_representations(ball).hrep == canon_set(vecs(*signs))
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(1, 3).flatmap(
@@ -310,13 +343,11 @@ class TestImageAndHull:
             image_ball(ball, QMat.from_rows([[1, 0], [2, 0]]))
 
     def test_hull_of_axis_parts(self):
-        part_x = Ball(2, vecs((1, 0)), None)
-        part_y = Ball(2, vecs((0, 1)), None)
-        hull = symmetric_hull(2, [part_x, part_y])
+        # Each axis alone spans a degenerate segment; their union is a ball.
+        hull = complete_from_vrep(2, ((1, 0), (0, 1)))
         assert hull.vrep == vecs((0, 1), (1, 0))
         assert hull.hrep == vecs((1, -1), (1, 1))
 
     def test_hull_non_spanning_rejected(self):
-        part = Ball(2, vecs((1, 0)), None)
         with pytest.raises(NotANorm):
-            symmetric_hull(2, [part])
+            complete_from_vrep(2, ((1, 0), (-2, 0)))

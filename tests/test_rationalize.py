@@ -16,6 +16,8 @@ from polyban.banach import (
     norm_eval,
     operator_norm,
     pullback_space,
+    space_from_hrep,
+    space_from_vrep,
     zero_space,
 )
 from polyban.errors import PreconditionError, VerificationError
@@ -62,6 +64,61 @@ class TestExtendFunctional:
         assert dual_norm_eval(incl.codomain, psi) == dual_norm_eval(
             incl.domain, phi
         )
+
+
+def vspace(*gens):
+    return space_from_vrep(len(gens[0]), [QVec.of(g) for g in gens])
+
+
+HEXAGON = vspace((1, 0), (0, 1), (1, 1))
+OCTAHEDRAL = space_from_hrep(3, [QVec.of(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))])
+
+# (codomain, inclusion matrix, phi, the extension the simplex picks).  Most
+# of these LPs have more than one optimum, so the pick depends on the
+# tableau: it moves when the columns are laid out as all (+) then all (-),
+# or when the vertex rows are reversed.  Repair norms are built from these
+# picks, so they are pinned.  The first pick is no facet of l1(2): it need
+# not be one.
+PINNED_EXTENSIONS = [
+    (l1_space(2), [[1], [0]], ["1"], ["1", "0"]),
+    (HEXAGON, [[1], [-1]], ["5/7"], ["5/14", "-5/14"]),
+    (OCTAHEDRAL, [[1, 0], [0, 1], [1, -1]], ["1", "1"], ["1/2", "3/2", "1/2"]),
+    (l1_space(4), [[1, 0], [1, -1], [0, 1], [2, 1]], ["1", "2"], ["1/3", "-2/3", "2/3", "2/3"]),
+    (linf_space(3), [[-1, 1], [1, -1], [0, 1]], ["3/2", "1/2"], ["-3/2", "0", "2"]),
+    (linf_space(3), [[-1, 0], [1, -2], [-1, 0]], ["-3/2", "1/2"], ["0", "-1/4", "5/4"]),
+    (linf_space(2), [[-2], [2]], ["1/2"], ["-1/4", "0"]),
+    (l1_space(3), [[2, -1], [-2, 1], [-2, -2]], ["-3/2", "-2"], ["-3/4", "-11/12", "11/12"]),
+    (l1_space(3), [[-2, -2], [-1, 0], [2, 0]], ["3/2", "1"], ["-1/2", "-1/2", "0"]),
+    (l1_space(3), [[-2, 1], [-1, 2], [1, -2]], ["3/2", "0"], ["-1", "1", "1/2"]),
+    (
+        vspace(("-1", "-3/2", "-2"), ("1", "0", "-1"), ("-1", "1", "-1"), ("-1/2", "1/2", "0")),
+        [[0, -1], [1, 2], [-1, -2]],
+        ["-1/2", "-3/2"],
+        ["1/2", "-5/7", "-3/14"],
+    ),
+    (
+        vspace(("0", "0", "1"), ("0", "1", "-3"), ("2", "-2", "1/2"), ("1", "1", "-2")),
+        [[2, 0], [-2, 0], [0, -2]],
+        ["-1", "1"],
+        ["-11/8", "-7/8", "-1/2"],
+    ),
+    (
+        vspace(("-1", "3/2", "-1/2"), ("-3/2", "2", "-2"), ("1/2", "-1", "1"), ("-3", "-1/2", "-1")),
+        [[-1], [2], [2]],
+        ["3"],
+        ["-11/51", "25/51", "46/51"],
+    ),
+    (vspace(("1", "1/2"), ("-1/2", "-1"), ("3/2", "3/2")), [[-1], [-1]], ["-2"], ["4", "-2"]),
+    (vspace(("-2", "0"), ("1", "-1"), ("1", "1"), ("-3", "2")), [[-1], [0]], ["-1"], ["1", "1"]),
+    (vspace(("3", "1/2"), ("-2", "2")), [[1], [-1]], ["-3"], ["-15/7", "6/7"]),
+]
+
+
+@pytest.mark.parametrize("Y, rows, phi, expected", PINNED_EXTENSIONS)
+def test_extension_pick_is_pinned(Y, rows, phi, expected):
+    B = QMat.from_rows(rows, cols=len(rows[0]))
+    incl = LinMap(B, pullback_space(B, Y), Y)
+    assert extend_functional(QVec.of(phi), incl) == QVec.of(expected)
 
 
 class TestRepairNorm:
