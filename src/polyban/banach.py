@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError
 from .exactlin import QMat, QVec, _rref, rank, rat
-from .polytope import Ball, canon_sign, complete_representations, image_ball
+from .polytope import Ball, canon_sign, complete_representations
 
 ISOMETRIC = "isometric"
 STRICT_EPS = "strict-eps"
@@ -30,8 +30,9 @@ NOT_EPS = "not-eps"
 
 @dataclass(frozen=True)
 class Space:
-    """Q^dim with a canonical unit ball: a ball built by hand, which may list
-    redundant vertices or functionals, is stored completed."""
+    """Q^dim with a canonical unit ball.  The ball may be given by its vrep,
+    its hrep or both, listing redundant rows; it is stored completed, and
+    this is the one place a ball is completed."""
 
     dim: int
     ball: Ball
@@ -41,11 +42,8 @@ class Space:
             raise DimensionMismatch(
                 f"ball dim {self.ball.dim} != space dim {self.dim}"
             )
-        if not self.ball.is_complete():
-            raise PreconditionError("space needs a completed ball")
         if not self.ball.is_canonical():
-            canonical = complete_representations(self.ball)
-            object.__setattr__(self, "ball", canonical)
+            object.__setattr__(self, "ball", complete_representations(self.ball))
 
 
 @dataclass(frozen=True)
@@ -87,11 +85,11 @@ class EmbeddingClass:
 
 
 def space_from_vrep(dim: int, vectors: Sequence[QVec]) -> Space:
-    return Space(dim, complete_representations(Ball.from_vrep(dim, vectors)))
+    return Space(dim, Ball.from_vrep(dim, vectors))
 
 
 def space_from_hrep(dim: int, functionals: Sequence[QVec]) -> Space:
-    return Space(dim, complete_representations(Ball.from_hrep(dim, functionals)))
+    return Space(dim, Ball.from_hrep(dim, functionals))
 
 
 def zero_space() -> Space:
@@ -241,15 +239,18 @@ def quotient_matrix(dim: int, kernel: Sequence[QVec]) -> QMat:
 
 
 def quotient(X: Space, kernel: Sequence[QVec]):
-    """Quotient space and map; the quotient ball is the image of the ball."""
+    """Quotient space and map; the quotient ball is the image of the ball.
+
+    q is the identity on the complement coordinates, so it is surjective and
+    the images of X's vertices span the quotient.
+    """
     for k in kernel:
         if k.dim != X.dim:
             raise DimensionMismatch("kernel vector dim mismatch")
     q_mat = quotient_matrix(X.dim, kernel)
     if not kernel:
         return X, LinMap.identity(X)
-    ball = image_ball(X.ball, q_mat)
-    target = Space(q_mat.rows, ball)
+    target = space_from_vrep(q_mat.rows, [q_mat.apply(v) for v in X.ball.vrep])
     return target, LinMap(q_mat, X, target)
 
 

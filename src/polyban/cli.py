@@ -54,7 +54,6 @@ from .io import (
     vec_from_json,
     vec_to_json,
 )
-from .polytope import complete_representations
 from .rationalize import repair_operator
 from .report import check_eq, check_le, check_true, report_doc
 
@@ -103,7 +102,7 @@ def cmd_space_check(args) -> dict:
         if isinstance(doc, dict) and "ball" in doc:
             space = space_from_json(doc)
         else:
-            ball = complete_representations(ball_from_json(doc))
+            ball = ball_from_json(doc)
             space = Space(ball.dim, ball)
     checks = [
         check_true(

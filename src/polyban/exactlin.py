@@ -464,14 +464,16 @@ def lp_solve(problem: LpProblem) -> tuple[str, Optional[tuple[Fraction, QVec]]]:
                 tab[i] = [x - factor * y for x, y in zip(tab[i], pivot_row)]
         basis[row_index] = col_index
 
-    def run_simplex(cost: list[Fraction], allowed: int, banned: frozenset[int]) -> str:
+    def run_simplex(cost: list[Fraction]) -> str:
+        """Bland's pivots with only the core columns entering; phase 1 bans
+        exactly the artificials, which are the columns from total_core on."""
         while True:
             in_basis = set(basis)
             # Reduced costs: cost_j - cost_B . column_j, Bland: least index < 0.
             dual = [cost[basis[i]] for i in range(m)]
             entering = -1
-            for j in range(allowed):
-                if j in in_basis or j in banned:
+            for j in range(total_core):
+                if j in in_basis:
                     continue
                 reduced = cost[j] - sum(
                     (dual[i] * tab[i][j] for i in range(m)), Fraction(0)
@@ -501,7 +503,7 @@ def lp_solve(problem: LpProblem) -> tuple[str, Optional[tuple[Fraction, QVec]]]:
         cost1 = [Fraction(0)] * width
         for j in art_cols:
             cost1[j] = Fraction(1)
-        status = run_simplex(cost1, width, frozenset(art_cols))
+        status = run_simplex(cost1)
         if status != OPTIMAL:
             raise AssertionError("phase 1 cannot be unbounded")
         phase1_value = sum(
@@ -523,7 +525,7 @@ def lp_solve(problem: LpProblem) -> tuple[str, Optional[tuple[Fraction, QVec]]]:
 
     # Phase 2 over core columns only.
     cost2 = list(problem.objective.entries) + [Fraction(0)] * (width - n)
-    status = run_simplex(cost2, total_core, frozenset())
+    status = run_simplex(cost2)
     if status == UNBOUNDED:
         return UNBOUNDED, None
 

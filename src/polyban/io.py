@@ -18,7 +18,7 @@ from .banach import LinMap, Space, is_isometric, operator_norm
 from .errors import DimensionMismatch, ParseError, PolybanError, VerificationError
 from .exactlin import _TOO_LONG, QMat, QVec, rat, rat_str
 from .fraisse import Chain, ChainStage, LogEntry, pad_map
-from .polytope import Ball, complete_representations
+from .polytope import Ball
 
 
 def vec_from_json(obj, dim: Optional[int] = None) -> QVec:
@@ -47,12 +47,17 @@ def mat_to_json(mat: QMat) -> list:
     return [[rat_str(v) for v in row] for row in mat.entries]
 
 
-def ball_from_json(obj) -> Ball:
+def _dim_from_json(obj, what: str) -> int:
     if not isinstance(obj, dict) or "dim" not in obj:
-        raise ParseError("ball object needs a dim field")
+        raise ParseError(f"{what} object needs a dim field")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-        raise ParseError(f"ball dim must be a nonnegative integer, got {dim!r}")
+        raise ParseError(f"{what} dim must be a nonnegative integer, got {dim!r}")
+    return dim
+
+
+def ball_from_json(obj) -> Ball:
+    dim = _dim_from_json(obj, "ball")
     vrep = obj.get("vrep")
     hrep = obj.get("hrep")
     if vrep is None and hrep is None and dim > 0:
@@ -80,10 +85,11 @@ def ball_to_json(ball: Ball) -> dict:
 def space_from_json(obj) -> Space:
     if not isinstance(obj, dict) or "ball" not in obj or "dim" not in obj:
         raise ParseError("space object needs dim and ball fields")
+    dim = _dim_from_json(obj, "space")
     ball = ball_from_json(obj["ball"])
-    if ball.dim != obj["dim"]:
+    if ball.dim != dim:
         raise DimensionMismatch("space dim disagrees with its ball")
-    return Space(obj["dim"], complete_representations(ball))
+    return Space(dim, ball)
 
 
 def space_to_json(space: Space) -> dict:
@@ -128,9 +134,7 @@ def linmap_to_json(m: LinMap) -> dict:
 
 def chain_to_json(chain: Chain) -> dict:
     stages = []
-    by_stage = {entry.stage: entry for entry in chain.log}
-    for idx, stage in enumerate(chain.stages):
-        entry = by_stage.get(idx)
+    for stage, entry in zip(chain.stages, (None,) + chain.log):
         stages.append(
             {
                 "U": space_to_json(stage.U),
@@ -164,14 +168,16 @@ def _labelled(label: str):
 
 
 def _verify_stage(prev: ChainStage, stage: ChainStage) -> None:
-    """Full check of a loaded stage against its predecessor.  A chain file
-    is outside input, so a failed check rejects it as a ParseError."""
+    """Full check of a loaded stage against its predecessor, along the
+    coordinate pads of its spaces.  A chain file is outside input, so a
+    failed check rejects it as a ParseError."""
     norm_f = operator_norm(stage.F)
     if norm_f > 1:
         raise ParseError(f"stage operator has norm {norm_f} > 1")
-    if stage.F.matrix @ stage.inclU.matrix != stage.inclV.matrix @ prev.F.matrix:
+    incl_u, incl_v = pad_map(prev.U, stage.U), pad_map(prev.V, stage.V)
+    if stage.F.matrix @ incl_u.matrix != incl_v.matrix @ prev.F.matrix:
         raise ParseError("stage does not extend the previous operator")
-    if not is_isometric(stage.inclU) or not is_isometric(stage.inclV):
+    if not is_isometric(incl_u) or not is_isometric(incl_v):
         raise ParseError("stage inclusion lost isometry")
 
 
@@ -196,13 +202,7 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
         U_doc, V_doc, F_rows = (require_field(record, k, what) for k in ("U", "V", "F"))
         with _labelled(what):
             U, V = space_from_json(U_doc), space_from_json(V_doc)
-            F = LinMap(mat_from_json(F_rows, V.dim, U.dim), U, V)
-            if idx == 0:
-                incl_u, incl_v = LinMap.identity(U), LinMap.identity(V)
-            else:
-                prev = stages[-1]
-                incl_u, incl_v = pad_map(prev.U, U), pad_map(prev.V, V)
-            stage = ChainStage(U, V, F, incl_u, incl_v)
+            stage = ChainStage(U, V, LinMap(mat_from_json(F_rows, V.dim, U.dim), U, V))
             if idx > 0 and verify:
                 _verify_stage(stages[-1], stage)
         stages.append(stage)
@@ -213,7 +213,7 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
             what = f"log entry of stage {idx}"
             task = require_field(entry, "task", what)
             verdict = require_field(entry, "verdict", what)
-            log.append(LogEntry(idx, str(task), str(verdict)))
+            log.append(LogEntry(str(task), str(verdict)))
     return Chain(tuple(stages), tuple(log), dim_cap, seed)
 
 

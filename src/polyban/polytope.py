@@ -27,8 +27,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import CapExceeded, DimensionMismatch, NotANorm, VerificationError
-from .exactlin import QMat, QVec, _cleared, _primitive, invert, pivot_columns, rank
+from .errors import CapExceeded, NotANorm, VerificationError
+from .exactlin import QMat, QVec, _cleared, _primitive, invert, pivot_columns
 
 DIM_CAP = 8
 
@@ -75,14 +75,6 @@ class Ball:
         if self.vrep is None:
             raise VerificationError("ball has no vrep")
         return [s for v in self.vrep for s in (v, -v)]
-
-    def signed_hrep(self) -> list[QVec]:
-        if self.hrep is None:
-            raise VerificationError("ball has no hrep")
-        return [s for phi in self.hrep for s in (phi, -phi)]
-
-    def is_complete(self) -> bool:
-        return self.vrep is not None and self.hrep is not None
 
     def is_canonical(self) -> bool:
         """True when complete_representations returned this very ball."""
@@ -250,20 +242,4 @@ def complete_representations(ball: Ball) -> Ball:
         if not set(hrep) <= declared:
             raise NotANorm("declared hrep region is larger than the hull")
     return _canonical(Ball(dim, vrep, hrep))
-
-
-def image_ball(ball: Ball, matrix: QMat) -> Ball:
-    """Ball of the pushforward norm: the image polytope A(B).
-
-    Requires A surjective (rows = target dim = rank), otherwise the image is
-    degenerate and not the ball of a norm.
-    """
-    if ball.vrep is None:
-        raise ValueError("image_ball needs a vrep")
-    if matrix.cols != ball.dim:
-        raise DimensionMismatch(f"matrix cols {matrix.cols} != ball dim {ball.dim}")
-    if rank(matrix) < matrix.rows:
-        raise NotANorm("matrix is not surjective; image ball is degenerate")
-    images = [matrix.apply(v) for v in ball.signed_vrep()]
-    return complete_representations(Ball.from_vrep(matrix.rows, images))
 

@@ -325,7 +325,7 @@ def sphere_min_by_facet_lp(matrix, domain, codomain):
     rows, so t >= 0 is implied and the LP is in standard form as it stands.
     Independent of the pullback-ball computation in the library.
     """
-    signed_psi = codomain.ball.signed_hrep()
+    signed_psi = [s for psi in codomain.ball.hrep for s in (psi, -psi)]
     signed_verts = domain.ball.signed_vrep()
     best = None
     for phi in domain.ball.hrep:
@@ -352,7 +352,7 @@ def coset_min_norm(space, kernel, x):
     """
     k = len(kernel)
     constraints = []
-    for phi in space.ball.signed_hrep():
+    for phi in (s for f in space.ball.hrep for s in (f, -f)):
         row = split([phi.dot(kv) for kv in kernel]) + [Fraction(-1)]
         constraints.append((QVec.of(row), "<=", -phi.dot(x)))
     problem = LpProblem(QVec.of([0] * (2 * k) + [1]), tuple(constraints))

@@ -348,11 +348,9 @@ def test_criterion_06_chain_construction(chain20):
     assert realized >= 5
     for prev, stage in zip(chain.stages, chain.stages[1:]):
         assert operator_norm(stage.F) <= 1
-        assert (
-            stage.F.matrix @ stage.inclU.matrix
-            == stage.inclV.matrix @ prev.F.matrix
-        )
-        assert is_isometric(stage.inclU) and is_isometric(stage.inclV)
+        incl_u, incl_v = pad_map(prev.U, stage.U), pad_map(prev.V, stage.V)
+        assert stage.F.compose(incl_u) == incl_v.compose(prev.F)
+        assert is_isometric(incl_u) and is_isometric(incl_v)
     announce(6, 300, started, f"20 stages, {realized} realizations re-checked")
 
 
@@ -443,7 +441,7 @@ def test_criterion_08_universality_transcript():
         assert len(squares) == 6
         for n, sq in enumerate(squares):
             eps_n = schedule.eps(n)
-            assert sq.defect == 0
+            assert map_distance(sq.T.compose(sq.i0), sq.i1.compose(sq.S)) == 0
             assert sq.T.matrix @ sq.i0.matrix == sq.i1.matrix @ sq.S.matrix
             assert classify_embedding(sq.i0, eps_n).verdict in OK_EMBEDDING
             assert classify_embedding(sq.i1, eps_n).verdict in OK_EMBEDDING
@@ -490,7 +488,7 @@ def test_criterion_09_back_and_forth_transcript():
     assert len(transcript.kSquares) == depth + 1
     assert len(transcript.lSquares) == depth
     for sq in transcript.kSquares[1:] + transcript.lSquares:
-        assert sq.defect == 0
+        assert map_distance(sq.T.compose(sq.i0), sq.i1.compose(sq.S)) == 0
         assert is_isometric(sq.i0) and is_isometric(sq.i1)
     # Derive the schedule by the documented rule: an exact seed has
     # quality eps/2, and the dyadic tail starts at the smallest shift

@@ -31,8 +31,10 @@ from polyban.banach import (
     space_from_vrep,
     zero_space,
 )
+from polyban.cli import main
 from polyban.errors import DimensionMismatch, NotANorm, PreconditionError
 from polyban.exactlin import QMat, QVec, rank, rat
+from polyban.io import load_json, save_json, space_from_json, space_to_json
 from polyban.polytope import Ball
 
 
@@ -60,9 +62,35 @@ def vrep_spaces(draw, dim):
 
 
 class TestSpace:
-    def test_requires_complete_ball(self):
-        with pytest.raises(PreconditionError):
-            Space(2, Ball.from_vrep(2, [QVec.of([1, 0]), QVec.of([0, 1])]))
+    def test_completes_a_half_ball(self):
+        units = [QVec.of([1, 0]), QVec.of([0, 1])]
+        assert Space(2, Ball.from_vrep(2, units)) == l1_space(2)
+        assert Space(2, Ball.from_hrep(2, units)) == linf_space(2)
+
+    @pytest.mark.parametrize(
+        "route", ["space_from_vrep", "space_from_json", "quotient", "cmd_space_check"]
+    )
+    def test_each_route_completes_once(self, monkeypatch, tmp_path, capsys, route):
+        X = l1_space(3)
+        path = tmp_path / "space.json"
+        save_json(str(path), space_to_json(X))
+        calls = []
+
+        def counted(ball):
+            calls.append(ball)
+            return polytope.complete_representations(ball)
+
+        monkeypatch.setattr(banach, "complete_representations", counted)
+        if route == "space_from_vrep":
+            space_from_vrep(3, [QVec.unit(3, i) for i in range(3)])
+        elif route == "space_from_json":
+            space_from_json(load_json(str(path)))
+        elif route == "quotient":
+            quotient(X, [QVec.of([1, -1, 2])])
+        else:
+            assert main(["space-check", str(path)]) == 0
+            capsys.readouterr()
+        assert len(calls) == 1
 
     def test_dim_must_match(self):
         with pytest.raises(DimensionMismatch):

@@ -374,6 +374,14 @@ def doubled_domain_vrep(stage):
     ball["vrep"] = [[rat_str(2 * rat(x)) for x in v] for v in ball["vrep"]]
 
 
+def bool_space_dim(stage):
+    stage["U"]["dim"] = True
+
+
+def float_space_dim(stage):
+    stage["U"]["dim"] = 1.0
+
+
 def shrunk_to_zero(stage):
     zero = {"ball": {"dim": 0, "hrep": [], "vrep": []}, "dim": 0}
     stage.update(U=zero, V=zero, F=[])
@@ -448,6 +456,20 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["space-check", "op-norm"])
+    @pytest.mark.parametrize("dim", [True, 1.0], ids=["bool", "float"])
+    def test_space_dim_must_be_an_integer(self, tmp_path, capsys, verb, dim):
+        space = {"dim": dim, "ball": {"dim": 1, "vrep": [["1"]]}}
+        doc = space if verb == "space-check" else {"matrix": [["1"]], "domain": space, "codomain": space}
+        path = tmp_path / "input.json"
+        save_json(str(path), doc)
+        assert main([verb, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}: space dim must be a nonnegative integer, got {dim!r}\n"
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "text, named",
         [
@@ -501,6 +523,8 @@ class TestErrorPaths:
             (zero_denominator, 3, "chain stage 3: not a rational: '3/0'"),
             (doubled_domain_vrep, 5, "chain stage 5: vrep point violates declared hrep"),
             (shrunk_to_zero, 4, "chain stage 4: cannot pad dimension 1 into dimension 0"),
+            (bool_space_dim, 1, "chain stage 1: space dim must be a nonnegative integer, got True"),
+            (float_space_dim, 1, "chain stage 1: space dim must be a nonnegative integer, got 1.0"),
         ],
         ids=[
             "expansive-operator",
@@ -508,6 +532,8 @@ class TestErrorPaths:
             "zero-denominator",
             "doubled-domain-vrep",
             "shrinking-stage",
+            "bool-space-dim",
+            "float-space-dim",
         ],
     )
     def test_tampered_chain_is_rejected_input(

@@ -14,7 +14,7 @@ from oracles import (
     fraction_enumerate_vertices,
     gauge_vrep,
 )
-from polyban.banach import Space
+from polyban.banach import Space, l1_space, linf_space, quotient, space_from_vrep
 from polyban.errors import CapExceeded, NotANorm, VerificationError
 from polyban.exactlin import QMat, QVec, rank
 from polyban.polytope import (
@@ -23,7 +23,6 @@ from polyban.polytope import (
     canon_set,
     canon_sign,
     complete_representations,
-    image_ball,
 )
 
 
@@ -270,8 +269,6 @@ class TestValidation:
     def test_signed_rep_of_a_missing_side_rejected(self):
         with pytest.raises(VerificationError):
             Ball.from_hrep(1, vecs((1,))).signed_vrep()
-        with pytest.raises(VerificationError):
-            Ball.from_vrep(1, vecs((1,))).signed_hrep()
 
     def test_cap(self):
         with pytest.raises(CapExceeded, match="dimension 9 exceeds cap 8"):
@@ -320,27 +317,22 @@ class TestGauge:
 
 
 class TestImageAndHull:
+    # An image ball is the hull of the images of the vertices: the path
+    # quotient, pushout and realize_over take.
     def test_image_shear(self):
-        ball = complete_from_vrep(2, ((1, 0), (0, 1)))
         shear = QMat.from_rows([[1, 1], [0, 1]])
-        image = image_ball(ball, shear)
-        assert image.vrep == vecs((1, 0), (1, 1))
+        image = space_from_vrep(2, [shear.apply(v) for v in l1_space(2).ball.vrep])
+        assert image.ball.vrep == vecs((1, 0), (1, 1))
 
     def test_image_projection(self):
-        ball = complete_from_hrep(2, ((1, 0), (0, 1)))
-        proj = QMat.from_rows([[1, 0]], cols=2)
-        image = image_ball(ball, proj)
-        assert image.vrep == vecs((1,)) and image.hrep == vecs((1,))
+        image, q = quotient(linf_space(2), vecs((0, 1)))
+        assert q.matrix == QMat.from_rows([[1, 0]], cols=2)
+        assert image.ball.vrep == vecs((1,)) and image.ball.hrep == vecs((1,))
 
     def test_image_to_dim_zero(self):
-        ball = complete_from_vrep(2, ((1, 0), (0, 1)))
-        image = image_ball(ball, QMat.zeros(0, 2))
-        assert image.dim == 0 and image.is_complete()
-
-    def test_image_not_surjective(self):
-        ball = complete_from_vrep(2, ((1, 0), (0, 1)))
-        with pytest.raises(NotANorm):
-            image_ball(ball, QMat.from_rows([[1, 0], [2, 0]]))
+        image, q = quotient(l1_space(2), vecs((1, 0), (0, 1)))
+        assert q.matrix.shape == (0, 2)
+        assert image.dim == 0 and image.ball.vrep == () and image.ball.hrep == ()
 
     def test_hull_of_axis_parts(self):
         # Each axis alone spans a degenerate segment; their union is a ball.
