@@ -10,17 +10,26 @@ and pullbacks.
 All values are exact rationals; every optimum is attained at a vertex of a
 completed ball, never sampled.  A Space's ball is always canonical, so the
 facet lemma certifies an isometry with no double description.
+
+The evaluations run on integers: a ball's cleared form (`Ball.cleared`,
+kept on the ball once made) holds its facets as rows over one denominator
+and its vertices as rows over another, and a matrix's (`QMat.cleared`) is
+``M / E``.  A norm is the integer max of ``|a . n|`` over the facet rows
+``a`` for ``x == n / d``; an operator norm pulls the codomain facet rows
+through ``M`` once and takes the integer max over the domain vertex rows;
+each builds one Fraction, at return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError
-from .exactlin import QMat, QVec, _rref, rank, rat
-from .polytope import Ball, canon_sign, complete_representations
+from .exactlin import QMat, QVec, _cleared, _rref, rank, rat
+from .polytope import Ball, canon_ints, complete_representations
 
 ISOMETRIC = "isometric"
 STRICT_EPS = "strict-eps"
@@ -110,29 +119,50 @@ def l1_space(dim: int) -> Space:
     return space_from_vrep(dim, [QVec.unit(dim, i) for i in range(dim)])
 
 
+def _peak(rows, points) -> int:
+    """max |row . point| over integer rows and points; 0 when either is empty."""
+    return max((abs(sum(map(mul, r, p))) for r in rows for p in points), default=0)
+
+
+def _pulled_facets(matrix: QMat, Y: Space) -> tuple[list[list[int]], int]:
+    """Y's facets pulled back through the matrix B, over integers.
+
+    With ``B == M / E`` and Y's facets the rows of ``A / D``, the rows of
+    ``A M`` over ``D E`` are the functionals ``B^t psi``.  The product runs
+    over the nonzero entries of each column of M, so pulling through a
+    coordinate pad costs a copy.
+    """
+    facets, facet_den = Y.ball.cleared()[:2]
+    M, E = matrix.cleared()
+    columns = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*M)]
+    pulled = [[sum(a[k] * x for k, x in col) for col in columns] for a in facets]
+    return pulled, facet_den * E
+
+
 def norm_eval(space: Space, x: QVec) -> Fraction:
     """max |phi(x)| over the facet functionals; the gauge of the ball."""
     if x.dim != space.dim:
         raise DimensionMismatch(f"vector dim {x.dim} != space dim {space.dim}")
-    if space.dim == 0:
-        return Fraction(0)
-    return max(abs(phi.dot(x)) for phi in space.ball.hrep)
+    nums, den = _cleared(x.entries)
+    ball = space.ball.cleared()
+    return Fraction(_peak(ball.facets, [nums]), ball.facet_den * den)
 
 
 def dual_norm_eval(space: Space, phi: QVec) -> Fraction:
     """max |phi(v)| over the ball's vertex representatives."""
     if phi.dim != space.dim:
         raise DimensionMismatch(f"functional dim {phi.dim} != space dim {space.dim}")
-    if space.dim == 0:
-        return Fraction(0)
-    return max(abs(phi.dot(v)) for v in space.ball.vrep)
+    nums, den = _cleared(phi.entries)
+    ball = space.ball.cleared()
+    return Fraction(_peak(ball.vertices, [nums]), ball.vertex_den * den)
 
 
 def operator_norm(T: LinMap) -> Fraction:
-    """Exact norm, attained at a domain ball vertex."""
-    if T.domain.dim == 0:
-        return Fraction(0)
-    return max(norm_eval(T.codomain, T(v)) for v in T.domain.ball.vrep)
+    """Exact norm, attained at a domain ball vertex: the largest pulled
+    facet value over the domain vertex rows."""
+    pulled, den = _pulled_facets(T.matrix, T.codomain)
+    domain = T.domain.ball.cleared()
+    return Fraction(_peak(pulled, domain.vertices), den * domain.vertex_den)
 
 
 def map_distance(S: LinMap, T: LinMap) -> Fraction:
@@ -151,10 +181,12 @@ def lower_isometry_bound(T: LinMap) -> Fraction:
     if T.domain.dim == 0:
         return Fraction(1)
     try:
-        pullback = pullback_space(T.matrix, T.codomain).ball
+        pullback = pullback_space(T.matrix, T.codomain).ball.cleared()
     except PreconditionError:
         return Fraction(0)
-    return 1 / max(norm_eval(T.domain, w) for w in pullback.vrep)
+    domain = T.domain.ball.cleared()
+    peak = _peak(domain.facets, pullback.vertices)
+    return Fraction(domain.facet_den * pullback.vertex_den, peak)
 
 
 def is_isometric(T: LinMap) -> bool:
@@ -164,12 +196,18 @@ def is_isometric(T: LinMap) -> bool:
     isometric exactly when it is nonexpansive and every domain facet (the
     minimal hrep a Space holds) is some +-T^t psi.  A T with a kernel fails,
     as the domain facets span the dual; a zero-dimensional domain holds.
+
+    On integers, with the pulled rows ``p`` over ``D_Y E`` and the domain
+    facet rows ``b`` over ``D_X``: ``b / D_X == +-p / (D_Y E)`` exactly when
+    ``D_Y E b == +-D_X p``.  The domain facets are canonically signed, so
+    only the pulled side needs its sign picked.
     """
-    if operator_norm(T) > 1:
+    pulled, den = _pulled_facets(T.matrix, T.codomain)
+    domain = T.domain.ball.cleared()
+    if _peak(pulled, domain.vertices) > den * domain.vertex_den:
         return False
-    bt = T.matrix.transpose()
-    pulled = {canon_sign(bt.apply(psi)) for psi in T.codomain.ball.hrep}
-    return all(phi in pulled for phi in T.domain.ball.hrep)
+    found = {canon_ints([domain.facet_den * x for x in p]) for p in pulled}
+    return all(tuple(den * x for x in b) in found for b in domain.facets)
 
 
 def classify_embedding(T: LinMap, eps) -> EmbeddingClass:
@@ -261,5 +299,5 @@ def pullback_space(B: QMat, Y: Space) -> Space:
     k = B.cols
     if rank(B) < k:
         raise PreconditionError("pullback needs an injective matrix")
-    bt = B.transpose()
-    return space_from_hrep(k, [bt.apply(phi) for phi in Y.ball.hrep])
+    pulled, den = _pulled_facets(B, Y)
+    return space_from_hrep(k, [QVec(tuple(Fraction(x, den) for x in p)) for p in pulled])

@@ -195,6 +195,18 @@ class QMat:
     def row(self, i: int) -> QVec:
         return QVec(self.entries[i])
 
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Integer rows ``M`` and the least ``E > 0`` with ``self == M / E``.
+
+        Computed once per matrix and kept on it; equality and hashing stay
+        on ``entries``.
+        """
+        form = vars(self).get("_cleared")
+        if form is None:
+            form = _cleared_rows(self.entries)
+            object.__setattr__(self, "_cleared", form)
+        return form
+
     def col(self, j: int) -> QVec:
         return QVec(tuple(self.entries[i][j] for i in range(self.rows)))
 
@@ -278,6 +290,14 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers n and the least d > 0 with ``values == n / d``."""
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _cleared_rows(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows and the least d > 0 with ``rows == integer rows / d``."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def _primitive(ints: list[int]) -> list[int]:

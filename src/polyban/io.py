@@ -167,22 +167,37 @@ def _labelled(label: str):
         raise type(exc)(f"{label}: {exc}") from exc
 
 
+def _check_growth(prev: ChainStage, stage: ChainStage) -> None:
+    """A stage's spaces hold the previous stage's as leading coordinates."""
+    for small, big in ((prev.U.dim, stage.U.dim), (prev.V.dim, stage.V.dim)):
+        if small > big:
+            raise ParseError(f"cannot pad dimension {small} into dimension {big}")
+
+
 def _verify_stage(prev: ChainStage, stage: ChainStage) -> None:
     """Full check of a loaded stage against its predecessor, along the
     coordinate pads of its spaces.  A chain file is outside input, so a
-    failed check rejects it as a ParseError."""
+    failed check rejects it as a ParseError.
+
+    The pads are ``[I; 0]``, so ``F pad_U == pad_V F_prev`` says that the
+    leading ``V_prev.dim x U_prev.dim`` block of F is F_prev and that the
+    rows of F below it vanish in those columns.
+    """
     norm_f = operator_norm(stage.F)
     if norm_f > 1:
         raise ParseError(f"stage operator has norm {norm_f} > 1")
-    incl_u, incl_v = pad_map(prev.U, stage.U), pad_map(prev.V, stage.V)
-    if stage.F.matrix @ incl_u.matrix != incl_v.matrix @ prev.F.matrix:
+    block = [row[: prev.U.dim] for row in stage.F.matrix.entries]
+    top, below = block[: prev.V.dim], block[prev.V.dim :]
+    if top != list(prev.F.matrix.entries) or any(x for row in below for x in row):
         raise ParseError("stage does not extend the previous operator")
+    incl_u, incl_v = pad_map(prev.U, stage.U), pad_map(prev.V, stage.V)
     if not is_isometric(incl_u) or not is_isometric(incl_v):
         raise ParseError("stage inclusion lost isometry")
 
 
 def chain_from_json(obj, verify: bool = True) -> Chain:
-    """Rebuild a chain; with verify, every stage is checked in full."""
+    """Rebuild a chain; with verify, every stage is checked in full.  A stage
+    whose spaces shrink is rejected either way."""
     if not isinstance(obj, dict) or "stages" not in obj:
         raise ParseError("chain object needs a stages list")
     dim_cap = obj.get("dim_cap")
@@ -203,8 +218,10 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
         with _labelled(what):
             U, V = space_from_json(U_doc), space_from_json(V_doc)
             stage = ChainStage(U, V, LinMap(mat_from_json(F_rows, V.dim, U.dim), U, V))
-            if idx > 0 and verify:
-                _verify_stage(stages[-1], stage)
+            if idx > 0:
+                _check_growth(stages[-1], stage)
+                if verify:
+                    _verify_stage(stages[-1], stage)
         stages.append(stage)
         entry = record.get("log")
         if idx > 0:

@@ -12,8 +12,12 @@ signed functional's tight set; no rank is taken to find facets.
 
 The double description runs on Python integers: constraints and vertices
 are integer vectors, and ``Fraction`` appears only at the boundary, in the
-functionals read and the vertices returned; a ball holds canonical
-rationals only.
+functionals read and the vertices returned, which are signed, deduped and
+sorted as integers first.  A ball's fields are canonical rationals, and
+equality and hashing use them alone; a completed ball also keeps its
+cleared integer form (`Ball.cleared`: facet rows over one denominator,
+vertex rows over another), made once on first use, on which norms,
+operator norms and the isometry test run.
 
 Symmetry is exploited throughout: only one representative per antipodal pair
 is stored, with the canonical sign making the first nonzero coordinate
@@ -24,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, NotANorm, VerificationError
-from .exactlin import QMat, QVec, _cleared, _primitive, invert, pivot_columns
+from .exactlin import QMat, QVec, _cleared, _cleared_rows, _primitive, invert, pivot_columns
 
 DIM_CAP = 8
 
@@ -43,10 +48,29 @@ def canon_sign(vec: QVec) -> QVec:
     return vec
 
 
+def canon_ints(row: Sequence[int]) -> tuple[int, ...]:
+    """canon_sign of an integer vector, as a tuple."""
+    for value in row:
+        if value:
+            return tuple(row) if value > 0 else tuple(-x for x in row)
+    return tuple(row)
+
+
 def canon_set(vectors: Sequence[QVec]) -> tuple[QVec, ...]:
     """Canonical storage: one representative per +-pair, deduped, sorted."""
     seen = {canon_sign(v).entries for v in vectors if not v.is_zero()}
     return tuple(QVec(e) for e in sorted(seen))
+
+
+class IntegerBall(NamedTuple):
+    """A completed ball cleared of denominators: ``hrep == facets /
+    facet_den`` and ``vrep == vertices / vertex_den``, row for row, each
+    denominator the least."""
+
+    facets: tuple[tuple[int, ...], ...]
+    facet_den: int
+    vertices: tuple[tuple[int, ...], ...]
+    vertex_den: int
 
 
 @dataclass(frozen=True)
@@ -80,10 +104,21 @@ class Ball:
         """True when complete_representations returned this very ball."""
         return "_canonical" in vars(self)
 
+    def cleared(self) -> IntegerBall:
+        """The integer form of a ball with both representations, computed
+        once per ball and kept on it."""
+        form = vars(self).get("_cleared")
+        if form is None:
+            if self.vrep is None or self.hrep is None:
+                raise VerificationError("ball is not completed")
+            form = IntegerBall(*_cleared_rows(self.hrep), *_cleared_rows(self.vrep))
+            object.__setattr__(self, "_cleared", form)
+        return form
+
 
 def _enumerate_vertices(
     functionals: Sequence[QVec], dim: int
-) -> tuple[list[QVec], list[int]]:
+) -> tuple[list[list[int]], list[int]]:
     """Vertices of {x : |phi(x)| <= 1 for all phi}, with tight bitmasks.
 
     Constraints are indexed by signed functionals (+phi at 2k, -phi at 2k+1);
@@ -94,7 +129,8 @@ def _enumerate_vertices(
     with ``a`` an integer vector and ``q > 0``; a vertex is a homogeneous
     integer vector ``(n, d)`` with ``d > 0``, standing for ``n / d`` and
     divided by the gcd of its entries, so it is unique; and the sign of the
-    slack ``q*d - a.n`` tells inside, on and outside apart.
+    slack ``q*d - a.n`` tells inside, on and outside apart.  The vertices
+    are returned in that form, as lists ``[*n, d]``.
     """
     # Greedy independent subset to form the initial parallelotope.
     rows = QMat.from_rows([phi.entries for phi in functionals], cols=dim)
@@ -168,7 +204,19 @@ def _enumerate_vertices(
     # disjoint interiors, so no two points coincide; and a constraint tight
     # inside an edge is tight along the whole edge, so common | bit c is the
     # exact tight set.
-    return [QVec(tuple(Fraction(x, v[-1]) for x in v[:-1])) for v in vertices], masks
+    return vertices, masks
+
+
+def _canon_points(points: list[list[int]]) -> tuple[QVec, ...]:
+    """canon_set of homogeneous integer points ``[*n, d]`` with ``d > 0``.
+
+    The points are brought to their least common denominator, so integer
+    order is rational order, then signed, deduped and sorted as integers;
+    Fractions are built once, for the representatives kept.
+    """
+    common = lcm(*(p[-1] for p in points))
+    seen = {canon_ints([x * (common // p[-1]) for x in p[:-1]]) for p in points}
+    return tuple(QVec(tuple(Fraction(x, common) for x in row)) for row in sorted(seen))
 
 
 def _vertices_and_facets(
@@ -182,7 +230,7 @@ def _vertices_and_facets(
     strictly inside no other signed functional's tight set.  Both signs are
     compared, so the rule needs no argument about the canonical sign.
     """
-    vertices, masks = _enumerate_vertices(functionals, dim)
+    points, masks = _enumerate_vertices(functionals, dim)
     # tight[c] has bit i set when signed constraint c is tight at vertex i.
     tight = [0] * (2 * len(functionals))
     for i, m in enumerate(masks):
@@ -194,7 +242,7 @@ def _vertices_and_facets(
         own = tight[2 * k]
         if own and not any(own & t == own and own != t for t in tight):
             facets.append(phi)
-    return canon_set(vertices), tuple(facets)
+    return _canon_points(points), tuple(facets)
 
 
 def _canonical(ball: Ball) -> Ball:

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 from polyban.exactlin import OPTIMAL, LpProblem, QMat, QVec, lp_solve, solve_linear
-from polyban.polytope import Ball, canon_set
+from polyban.polytope import Ball, canon_set, canon_sign
 
 
 def _det(rows):
@@ -272,6 +272,39 @@ def fraction_enumerate_vertices(functionals, dim):
             masks[i] | ((1 << c) if i in on_set else 0) for i in keep_idx
         ] + new_masks
     return vertices, masks
+
+
+def fraction_norm_eval(space, x):
+    """The Fraction form of `banach.norm_eval`: max |phi . x| over the facets."""
+    if space.dim == 0:
+        return Fraction(0)
+    return max(abs(phi.dot(x)) for phi in space.ball.hrep)
+
+
+def fraction_dual_norm_eval(space, phi):
+    """The Fraction form of `banach.dual_norm_eval`: max |phi . v| over the
+    vertex representatives."""
+    if space.dim == 0:
+        return Fraction(0)
+    return max(abs(phi.dot(v)) for v in space.ball.vrep)
+
+
+def fraction_operator_norm(T):
+    """The Fraction form of `banach.operator_norm`: the image norm of each
+    domain vertex, one matrix-vector product at a time."""
+    if T.domain.dim == 0:
+        return Fraction(0)
+    return max(fraction_norm_eval(T.codomain, T.matrix.apply(v)) for v in T.domain.ball.vrep)
+
+
+def fraction_is_isometric(T):
+    """The Fraction form of `banach.is_isometric`: nonexpansive, and every
+    domain facet is some +-T^t psi over the codomain facets psi."""
+    if fraction_operator_norm(T) > 1:
+        return False
+    bt = T.matrix.transpose()
+    pulled = {canon_sign(bt.apply(psi)) for psi in T.codomain.ball.hrep}
+    return all(phi in pulled for phi in T.domain.ball.hrep)
 
 
 def gauge_vrep(ball, point):

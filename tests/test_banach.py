@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import coset_min_norm, sphere_min_by_facet_lp
+from oracles import (
+    coset_min_norm,
+    fraction_dual_norm_eval,
+    fraction_is_isometric,
+    fraction_norm_eval,
+    fraction_operator_norm,
+    sphere_min_by_facet_lp,
+)
 from polyban import banach, exactlin, polytope
 from polyban.banach import (
     EPS,
@@ -28,6 +35,7 @@ from polyban.banach import (
     operator_norm,
     pullback_space,
     quotient,
+    space_from_hrep,
     space_from_vrep,
     zero_space,
 )
@@ -45,9 +53,9 @@ def lmap(rows, domain, codomain):
 small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
 
-def matrices(rows, cols):
+def matrices(rows, cols, entries=small):
     return st.lists(
-        st.lists(small, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
     )
 
 
@@ -256,6 +264,108 @@ class TestLowerIsometryBound:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         assert [is_isometric(T) for T in maps] == [True, True, True, False, False, True]
+
+
+@st.composite
+def hrep_spaces(draw, dim):
+    """A random hrep ball of the given dim (dim 0 gives the zero space)."""
+    if dim == 0:
+        return zero_space()
+    rows = draw(matrices(draw(st.integers(dim, dim + 2)), dim))
+    assume(rank(QMat.from_rows(rows, cols=dim)) == dim)
+    return space_from_hrep(dim, [QVec.of(r) for r in rows])
+
+
+def balls(dim):
+    return st.one_of(vrep_spaces(dim), hrep_spaces(dim))
+
+
+fine = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+class TestIntegerEvaluation:
+    """The integer norm, dual norm, operator norm and isometry test against
+    their Fraction forms in tests/oracles.py."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_same_values_as_fraction_path(self, data):
+        kind = data.draw(
+            st.sampled_from(
+                ["random", "pullback", "pad", "kernel", "zero-domain", "zero-codomain"]
+            )
+        )
+        dom_dim = {"zero-domain": 0}.get(kind, data.draw(st.integers(1, 4)))
+        if kind == "pullback":
+            codomain = data.draw(balls(data.draw(st.integers(dom_dim, 5))))
+            rows = data.draw(matrices(codomain.dim, dom_dim, fine))
+            assume(rank(QMat.from_rows(rows, cols=dom_dim)) == dom_dim)
+            domain = pullback_space(QMat.from_rows(rows, cols=dom_dim), codomain)
+            T = lmap(rows, domain, codomain)
+            assert is_isometric(T)
+        elif kind == "pad":
+            # inl into X (+)_1 W, the coordinate pad [I; 0]: isometric.
+            domain = data.draw(balls(dom_dim))
+            extra = data.draw(balls(data.draw(st.integers(0, 5 - dom_dim))))
+            codomain, T, _ = l1_sum(domain, extra)
+            assert is_isometric(T)
+        else:
+            domain = data.draw(balls(dom_dim))
+            cod_dim = 0 if kind == "zero-codomain" else data.draw(st.integers(1, 5))
+            codomain = data.draw(balls(cod_dim))
+            rows = data.draw(matrices(cod_dim, dom_dim, fine))
+            if kind == "kernel":
+                # The last column repeats a rational multiple of the first.
+                c = data.draw(fine)
+                rows = [row[:-1] + [c * row[0] if dom_dim > 1 else 0] for row in rows]
+            if kind == "random":
+                assume(any(x.denominator > 1 for row in rows for x in row))
+            T = lmap(rows, domain, codomain)
+        x, phi = (QVec(tuple(v)) for v in data.draw(matrices(2, dom_dim, fine)))
+        assert norm_eval(domain, x) == fraction_norm_eval(domain, x)
+        assert dual_norm_eval(domain, phi) == fraction_dual_norm_eval(domain, phi)
+        assert operator_norm(T) == fraction_operator_norm(T)
+        assert is_isometric(T) == fraction_is_isometric(T)
+
+    def test_evaluation_takes_no_rational_products(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evaluation must not take a rational product")
+
+        l1, linf = l1_space(6), linf_space(6)
+        B = QMat.from_rows(
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, -1], [1, 0, Fraction(1, 2)]]
+        )
+        P = pullback_space(B, linf)
+        maps = [
+            LinMap.identity(l1),
+            LinMap(QMat.identity(6), l1, linf),
+            LinMap(QMat.identity(6), linf, l1),
+            LinMap(B, P, linf),
+            LinMap(B.transpose(), l1, P),
+        ]
+        x = QVec.of([1, -2, "1/3", 0, "1/2", -1])
+        y = QVec.of([1, "-3/2", 2])
+        vectors = ((l1, x), (linf, x), (P, y))
+        expected = (
+            [1, 1, 6, 1, 2],
+            [True, False, False, True, False],
+            [Fraction(29, 6), 2, Fraction(7, 2)],
+            [2, Fraction(29, 6), Fraction(5, 2)],
+        )
+        assert (
+            [fraction_operator_norm(T) for T in maps],
+            [fraction_is_isometric(T) for T in maps],
+            [fraction_norm_eval(S, v) for S, v in vectors],
+            [fraction_dual_norm_eval(S, v) for S, v in vectors],
+        ) == expected
+        for owner, name in ((QVec, "dot"), (QMat, "apply"), (QMat, "__matmul__")):
+            monkeypatch.setattr(owner, name, forbidden)
+        assert (
+            [operator_norm(T) for T in maps],
+            [is_isometric(T) for T in maps],
+            [norm_eval(S, v) for S, v in vectors],
+            [dual_norm_eval(S, v) for S, v in vectors],
+        ) == expected
 
 
 class TestClassifyEmbedding:

@@ -382,6 +382,15 @@ def float_space_dim(stage):
     stage["U"]["dim"] = 1.0
 
 
+def changed_old_block(stage):
+    # Stage 8 of the fixture chain: F_prev is -1/2 at (2, 2), zero elsewhere.
+    stage["F"][2][2] = "0"
+
+
+def nonzero_below_old_block(stage):
+    stage["F"][3][0] = "1/4"
+
+
 def shrunk_to_zero(stage):
     zero = {"ball": {"dim": 0, "hrep": [], "vrep": []}, "dim": 0}
     stage.update(U=zero, V=zero, F=[])
@@ -523,6 +532,12 @@ class TestErrorPaths:
             (zero_denominator, 3, "chain stage 3: not a rational: '3/0'"),
             (doubled_domain_vrep, 5, "chain stage 5: vrep point violates declared hrep"),
             (shrunk_to_zero, 4, "chain stage 4: cannot pad dimension 1 into dimension 0"),
+            (changed_old_block, 8, "chain stage 8: stage does not extend the previous operator"),
+            (
+                nonzero_below_old_block,
+                8,
+                "chain stage 8: stage does not extend the previous operator",
+            ),
             (bool_space_dim, 1, "chain stage 1: space dim must be a nonnegative integer, got True"),
             (float_space_dim, 1, "chain stage 1: space dim must be a nonnegative integer, got 1.0"),
         ],
@@ -532,6 +547,8 @@ class TestErrorPaths:
             "zero-denominator",
             "doubled-domain-vrep",
             "shrinking-stage",
+            "changed-old-block",
+            "nonzero-below-old-block",
             "bool-space-dim",
             "float-space-dim",
         ],

@@ -141,6 +141,17 @@ class TestChain:
         doc = chain_to_json(chain)
         assert chain_from_json(doc, verify=False) == chain
 
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_shrinking_stage_rejected_in_both_modes(self, verify):
+        doc = chain_to_json(build_chain(6, dim_cap=4, seed=0))
+        assert [s["U"]["dim"] for s in doc["stages"]][3:5] == [1, 1]
+        zero = {"ball": {"dim": 0, "hrep": [], "vrep": []}, "dim": 0}
+        doc["stages"][4].update(U=zero, V=zero, F=[])
+        with pytest.raises(
+            ParseError, match=r"^chain stage 4: cannot pad dimension 1 into dimension 0$"
+        ):
+            chain_from_json(doc, verify=verify)
+
 
 class TestShippedFiles:
     def test_every_data_file_round_trips_byte_identically(self):

@@ -167,9 +167,10 @@ class TestIntegerEnumeration:
     def test_same_vertices_and_masks_as_fraction_path(self, rows):
         dim = len(rows[0])
         functionals = [QVec.of(row) for row in rows]
-        assert _enumerate_vertices(functionals, dim) == fraction_enumerate_vertices(
-            functionals, dim
-        )
+        points, masks = _enumerate_vertices(functionals, dim)
+        # The library keeps each vertex as a homogeneous integer [*n, d].
+        vertices = [QVec(tuple(Fraction(x, p[-1]) for x in p[:-1])) for p in points]
+        assert (vertices, masks) == fraction_enumerate_vertices(functionals, dim)
 
     def test_completion_takes_no_rational_products(self, monkeypatch):
         def forbidden(*args, **kwargs):
