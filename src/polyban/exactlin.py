@@ -2,8 +2,11 @@
 
 Every quantity a caller sees is a ``fractions.Fraction``; nothing in this
 module (or in the modules built on it) touches floating point.  Elimination
-is fraction-free inside: `_rref` clears each row to integers, eliminates
-without division, and converts back to canonical fractions only at return.
+is fraction-free inside: its core `_rref_ints` eliminates integer rows
+without division, and `_rref` clears each rational row to integers, runs
+it, and converts back to canonical fractions only at return.  Matrix-vector
+and matrix-matrix products run on the cleared forms (`QMat.cleared`, kept
+on each matrix) and build one ``Fraction`` per output entry.
 The exact simplex `lp_solve` takes standard-form problems only (minimize
 over nonnegative variables, ``<=`` and ``=`` rows); it is the LP behind
 `rationalize.extend_functional`.  Determinism matters as much as exactness
@@ -18,6 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, ParseError
@@ -53,9 +57,10 @@ def rat(value: RatLike) -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RAT_GRAMMAR.fullmatch(value.strip()):
+    if isinstance(value, str) and _RAT_GRAMMAR.fullmatch(text := value.strip()):
+        num, _, den = text.partition("/")
         try:
-            return Fraction(value.strip())
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except ZeroDivisionError as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
         except ValueError as exc:
@@ -217,27 +222,26 @@ class QMat:
         )
 
     def apply(self, v: QVec) -> QVec:
+        """``(M / E)(n / d)``: integer dot products on the cleared forms, one
+        Fraction per output entry."""
         if v.dim != self.cols:
             raise DimensionMismatch(f"matrix cols {self.cols} != vector dim {v.dim}")
-        return QVec(
-            tuple(
-                sum((self.entries[i][j] * v.entries[j] for j in range(self.cols)), Fraction(0))
-                for i in range(self.rows)
-            )
-        )
+        rows, e = self.cleared()
+        n, d = _cleared(v.entries)
+        den = e * d
+        return QVec(tuple(Fraction(sum(map(mul, row, n)), den) for row in rows))
 
     def __matmul__(self, other: "QMat") -> "QMat":
+        """``(A / E)(B / F)``: integer products on the cleared forms, one
+        Fraction per output entry."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"inner dims {self.cols} != {other.rows}")
-        ot = other.transpose()
+        a, e = self.cleared()
+        b, f = other.cleared()
+        cols = list(zip(*b)) if b else [()] * other.cols
+        den = e * f
         return QMat(
-            tuple(
-                tuple(
-                    sum((a * b for a, b in zip(row, col)), Fraction(0))
-                    for col in ot.entries
-                )
-                for row in self.entries
-            ),
+            tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols) for row in a),
             (self.rows, other.cols),
         )
 
@@ -309,25 +313,24 @@ def _primitive(ints: list[int]) -> list[int]:
     return ints if g <= 1 else [x // g for x in ints]
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns).
+def _rref_ints(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form; returns (rows, pivot columns).
 
     Pivot choice is the first row with a nonzero entry in the current column,
-    scanning columns left to right: fully deterministic.  The elimination runs
-    on integers: each row is cleared of denominators, ``p*row_i - f*row_r``
-    replaces a rational row operation, and every row is kept divided by the
-    gcd of its entries with its sign unchanged.  Each integer row is a nonzero
-    multiple of the rational row it stands for, so the pivots are the same;
-    a pivot row is divided by its pivot only at the end, and since the
-    reduced echelon form is unique, so is the result.
+    scanning columns left to right: fully deterministic.  ``p*row_i -
+    f*row_r`` replaces a rational row operation, and every row is kept
+    divided by the gcd of its entries with its sign unchanged, so each row
+    is a nonzero multiple of the rational row it stands for.  Row ``r`` of
+    the result is row ``r`` of the reduced echelon form times its pivot
+    entry ``rows[r][pivots[r]]``, which may be negative; only the rows with
+    a pivot are returned.
     """
-    if not rows:
+    work = [_primitive(list(row)) for row in rows]
+    if not work:
         return [], []
-    work = [_primitive(_cleared(row)[0]) for row in rows]
-    n_cols = len(work[0])
     pivots: list[int] = []
     r = 0
-    for c in range(n_cols):
+    for c in range(len(work[0])):
         pivot_row = None
         for i in range(r, len(work)):
             if work[i][c]:
@@ -346,9 +349,18 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == len(work):
             break
-    return [
-        [Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)
-    ], pivots
+    return work[:r], pivots
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (reduced rows, pivot columns).
+
+    `_rref_ints` on the rows cleared of denominators; a pivot row is divided
+    by its pivot only at the end, and since the reduced echelon form is
+    unique, so is the result.
+    """
+    work, pivots = _rref_ints([_cleared(row)[0] for row in rows])
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)], pivots
 
 
 def pivot_columns(a: QMat) -> list[int]:

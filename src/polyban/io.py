@@ -24,7 +24,7 @@ from .polytope import Ball
 def vec_from_json(obj, dim: Optional[int] = None) -> QVec:
     if not isinstance(obj, list):
         raise ParseError(f"expected a vector list, got {obj!r}")
-    vec = QVec.of(rat(v) for v in obj)
+    vec = QVec(tuple(rat(v) for v in obj))
     if dim is not None and vec.dim != dim:
         raise DimensionMismatch(f"vector has dim {vec.dim}, expected {dim}")
     return vec
@@ -39,8 +39,8 @@ def mat_from_json(obj, rows: int, cols: int) -> QMat:
         raise ParseError(f"expected a matrix list, got {obj!r}")
     if len(obj) != rows:
         raise DimensionMismatch(f"matrix has {len(obj)} rows, expected {rows}")
-    parsed = [vec_from_json(row, cols).entries for row in obj]
-    return QMat.from_rows(parsed, cols=cols)
+    # Each row has been parsed and measured by vec_from_json.
+    return QMat(tuple(vec_from_json(row, cols).entries for row in obj), (rows, cols))
 
 
 def mat_to_json(mat: QMat) -> list:

@@ -10,14 +10,17 @@ polar ball, whose H-description is the vrep.  A listed functional is a facet
 exactly when its tight vertex set is nonempty and strictly inside no other
 signed functional's tight set; no rank is taken to find facets.
 
-The double description runs on Python integers: constraints and vertices
-are integer vectors, and ``Fraction`` appears only at the boundary, in the
-functionals read and the vertices returned, which are signed, deduped and
-sorted as integers first.  A ball's fields are canonical rationals, and
-equality and hashing use them alone; a completed ball also keeps its
-cleared integer form (`Ball.cleared`: facet rows over one denominator,
-vertex rows over another), made once on first use, on which norms,
-operator norms and the isometry test run.
+The double description runs on Python integers.  The functionals are read
+as integer rows over their least common denominator, then signed, deduped
+and sorted as integers (`canon_rows`); the first parallelotope comes from
+one integer elimination (`exactlin._rref_ints`); vertices are homogeneous
+integer vectors; and a pair of vertices with fewer than dim - 1 common
+tight constraints is no edge, so it skips the adjacency scan.  Fractions
+are built only for the facets and vertices kept.  A ball's fields are
+canonical rationals, and equality and hashing use them alone; a completed
+ball also keeps its cleared integer form (`Ball.cleared`: facet rows over
+one denominator, vertex rows over another), made once on first use, on
+which norms, operator norms and the isometry test run.
 
 Symmetry is exploited throughout: only one representative per antipodal pair
 is stored, with the canonical sign making the first nonzero coordinate
@@ -32,8 +35,8 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import CapExceeded, NotANorm, VerificationError
-from .exactlin import QMat, QVec, _cleared, _cleared_rows, _primitive, invert, pivot_columns
+from .errors import CapExceeded, DimensionMismatch, NotANorm, VerificationError
+from .exactlin import QVec, _cleared_rows, _primitive, _rref_ints
 
 DIM_CAP = 8
 
@@ -116,48 +119,87 @@ class Ball:
         return form
 
 
-def _enumerate_vertices(
-    functionals: Sequence[QVec], dim: int
-) -> tuple[list[list[int]], list[int]]:
-    """Vertices of {x : |phi(x)| <= 1 for all phi}, with tight bitmasks.
+def canon_rows(vectors: Sequence[QVec]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """canon_set as integers: the rows ``R`` and denominator ``d`` with
+    ``canon_set(vectors) == R / d``, d the least.
 
-    Constraints are indexed by signed functionals (+phi at 2k, -phi at 2k+1);
-    the i-th returned mask has bit c set when signed constraint c is tight at
-    the i-th vertex.  Raises NotANorm when the region is unbounded.
+    The vectors are cleared over their least common denominator, so integer
+    order is rational order, then signed, deduped and sorted; zero rows are
+    dropped.  No Fraction arithmetic is done.
+    """
+    d = lcm(*(x.denominator for v in vectors for x in v.entries))
+    seen = {
+        canon_ints([x.numerator * (d // x.denominator) for x in v.entries]) for v in vectors
+    }
+    return tuple(sorted(row for row in seen if any(row))), d
+
+
+def _check_width(rows: Sequence[Sequence[int]], dim: int) -> None:
+    """The row-shape errors of ``QMat.from_rows(rows, cols=dim)``."""
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise DimensionMismatch("ragged rows")
+    if widths and dim not in widths:
+        raise DimensionMismatch(f"declared cols {dim} != row width {widths.pop()}")
+
+
+def _rationals(rows: Sequence[Sequence[int]], den: int) -> tuple[QVec, ...]:
+    return tuple(QVec(tuple(Fraction(x, den) for x in row)) for row in rows)
+
+
+def _enumerate_vertices(
+    rows: Sequence[Sequence[int]], den: int, dim: int
+) -> tuple[list[list[int]], list[int]]:
+    """Vertices of {x : |row . x| <= den for every row}, with tight bitmasks.
+
+    Takes integer rows of width dim and ``den > 0``.  Constraints are
+    indexed by signed rows (+row k at 2k, -row k at 2k+1); the i-th returned
+    mask has bit c set when signed constraint c is tight at the i-th vertex.
+    Raises NotANorm when the region is unbounded.
 
     The arithmetic is on integers.  Signed constraint c reads ``a.x <= q``
-    with ``a`` an integer vector and ``q > 0``; a vertex is a homogeneous
-    integer vector ``(n, d)`` with ``d > 0``, standing for ``n / d`` and
-    divided by the gcd of its entries, so it is unique; and the sign of the
-    slack ``q*d - a.n`` tells inside, on and outside apart.  The vertices
-    are returned in that form, as lists ``[*n, d]``.
+    with ``(a, q)`` the primitive multiple of ``(row, den)``; a vertex is a
+    homogeneous integer vector ``(n, d)`` with ``d > 0``, standing for
+    ``n / d`` and divided by the gcd of its entries, so it is unique; and
+    the sign of the slack ``q*d - a.n`` tells inside, on and outside apart.
+    The vertices are returned in that form, as lists ``[*n, d]``.
     """
-    # Greedy independent subset to form the initial parallelotope.
-    rows = QMat.from_rows([phi.entries for phi in functionals], cols=dim)
-    chosen = pivot_columns(rows.transpose())
-    if len(chosen) < dim:
-        raise NotANorm("functionals do not span; the region is unbounded")
-    base = QMat.from_rows([functionals[i].entries for i in chosen], cols=dim)
-    # The inverse cleared to one denominator: inverse == cleared / den.
-    flat, den = _cleared([x for row in invert(base).entries for x in row])
-    cleared = [flat[i : i + dim] for i in range(0, dim * dim, dim)]
-
     signed: list[tuple[list[int], int]] = []
-    for phi in functionals:
-        a, q = _cleared(phi.entries)
+    for row in rows:
+        *a, q = _primitive([*row, den])
         signed.append((a, q))
         signed.append(([-x for x in a], q))
+    m = len(rows)
+    # The initial parallelotope: one elimination of [A^t | I] picks the
+    # greedy independent rows as the pivots among A^t's columns, and leaves
+    # E with E A_c^t diagonal, so column r of A_c^-1 is E_r / p_r.
+    reduced, chosen = _rref_ints(
+        [[a[j] for a, _ in signed[::2]] + [int(i == j) for i in range(dim)] for j in range(dim)]
+    )
+    if chosen[-1] >= m:
+        raise NotANorm("functionals do not span; the region is unbounded")
+    e = lcm(*(row[c] for row, c in zip(reduced, chosen)))
+    # The chosen row k = chosen[r] is tight where a_k . x = s_r q_k, so the
+    # vertex for signs s is (1/e) sum_r s_r cols[r].
+    cols = [
+        [signed[2 * c][1] * (e // row[c]) * x for x in row[m:]]
+        for row, c in zip(reduced, chosen)
+    ]
 
-    # Initial vertices: the inverse applied to every sign vector s, where the
-    # chosen row i is tight with sign s_i (+phi_k at bit 2k, -phi_k at 2k+1).
-    vertices: list[list[int]] = []
-    masks: list[int] = []
-    for bits in range(1 << dim):
-        s = [1 if (bits >> i) & 1 == 0 else -1 for i in range(dim)]
-        vertices.append(_primitive([sum(map(mul, row, s)) for row in cleared] + [den]))
-        masks.append(
-            sum(1 << (2 * k + ((bits >> i) & 1)) for i, k in enumerate(chosen))
-        )
+    # Initial vertices: one per sign vector s, where the chosen row k =
+    # chosen[r] is tight with sign s_r (+row k at bit 2k, -row k at 2k+1).
+    # Vertex number sum_r b_r 2^r has s_r = (-1)^b_r; the sums are built by
+    # doubling the list once per column, the last column first.
+    partial: list[tuple[list[int], int]] = [([0] * dim, 0)]
+    for col, k in zip(reversed(cols), reversed(chosen)):
+        steps = ((col, 1 << 2 * k), ([-x for x in col], 1 << 2 * k + 1))
+        partial = [
+            ([x + y for x, y in zip(v, step)], mask | bit)
+            for v, mask in partial
+            for step, bit in steps
+        ]
+    vertices = [_primitive([*v, e]) for v, _ in partial]
+    masks = [mask for _, mask in partial]
     processed = {c for k in chosen for c in (2 * k, 2 * k + 1)}
 
     # Add the remaining signed constraints one at a time.
@@ -177,6 +219,11 @@ def _enumerate_vertices(
         for i in inside:
             for j in outside:
                 common = masks[i] & masks[j]
+                # An edge lies on at least dim - 1 tight constraints, so a
+                # pair with fewer in common is no edge; the combinatorial
+                # test below would reject it too, only later.
+                if common.bit_count() < dim - 1:
+                    continue
                 # Combinatorial adjacency: no third vertex's tight set
                 # contains the common tight set.
                 adjacent = True
@@ -207,41 +254,41 @@ def _enumerate_vertices(
     return vertices, masks
 
 
-def _canon_points(points: list[list[int]]) -> tuple[QVec, ...]:
-    """canon_set of homogeneous integer points ``[*n, d]`` with ``d > 0``.
+def _canon_points(points: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """canon_rows of homogeneous integer points ``[*n, d]`` with ``d > 0``.
 
     The points are brought to their least common denominator, so integer
-    order is rational order, then signed, deduped and sorted as integers;
-    Fractions are built once, for the representatives kept.
+    order is rational order, then signed, deduped and sorted as integers.
     """
     common = lcm(*(p[-1] for p in points))
     seen = {canon_ints([x * (common // p[-1]) for x in p[:-1]]) for p in points}
-    return tuple(QVec(tuple(Fraction(x, common) for x in row)) for row in sorted(seen))
+    return tuple(sorted(seen)), common
 
 
 def _vertices_and_facets(
-    functionals: tuple[QVec, ...], dim: int
-) -> tuple[tuple[QVec, ...], tuple[QVec, ...]]:
-    """Canonical vertices and facets of {x : |phi(x)| <= 1}.
+    rows: tuple[tuple[int, ...], ...], den: int, dim: int
+) -> tuple[tuple[tuple[tuple[int, ...], ...], int], tuple[tuple[int, ...], ...]]:
+    """Canonical vertices (integer rows and their denominator) and the
+    facet rows of {x : |row . x| <= den}.
 
-    Takes canonical functionals.  Each signed functional is tight on a face;
-    every proper face lies in a facet, and every facet is listed, so a
-    functional is a facet exactly when its tight vertex set is nonempty and
-    strictly inside no other signed functional's tight set.  Both signs are
-    compared, so the rule needs no argument about the canonical sign.
+    Takes canonical rows.  Each signed row is tight on a face; every proper
+    face lies in a facet, and every facet is listed, so a row is a facet
+    exactly when its tight vertex set is nonempty and strictly inside no
+    other signed row's tight set.  Both signs are compared, so the rule
+    needs no argument about the canonical sign.
     """
-    points, masks = _enumerate_vertices(functionals, dim)
+    points, masks = _enumerate_vertices(rows, den, dim)
     # tight[c] has bit i set when signed constraint c is tight at vertex i.
-    tight = [0] * (2 * len(functionals))
+    tight = [0] * (2 * len(rows))
     for i, m in enumerate(masks):
         while m:
             tight[(m & -m).bit_length() - 1] |= 1 << i
             m &= m - 1
     facets = []
-    for k, phi in enumerate(functionals):
+    for k, row in enumerate(rows):
         own = tight[2 * k]
         if own and not any(own & t == own and own != t for t in tight):
-            facets.append(phi)
+            facets.append(row)
     return _canon_points(points), tuple(facets)
 
 
@@ -268,26 +315,36 @@ def complete_representations(ball: Ball) -> Ball:
     if ball.vrep is None and ball.hrep is None:
         raise NotANorm("ball has neither representation")
     if ball.vrep is None:
-        return _canonical(Ball(dim, *_vertices_and_facets(canon_set(ball.hrep), dim)))
+        rows, den = canon_rows(ball.hrep)
+        _check_width(rows, dim)
+        (vertices, vden), facets = _vertices_and_facets(rows, den, dim)
+        return _canonical(Ball(dim, _rationals(vertices, vden), _rationals(facets, den)))
 
-    gens = canon_set(ball.vrep)
+    gens, gden = canon_rows(ball.vrep)
+    _check_width(gens, dim)
     try:
-        hrep, vrep = _vertices_and_facets(gens, dim)
+        (hrep, hden), vrep = _vertices_and_facets(gens, gden, dim)
     except NotANorm:
         # The polar is unbounded exactly when the generators do not span.
         raise NotANorm("vertices do not span; the ball is degenerate") from None
-    if ball.hrep is not None:
-        # Mutual containment against the declared hrep.  The generators
-        # satisfy every facet of their own hull, so only the declared rows
-        # that are no facets are tested on them; and the declared region
-        # lies inside the hull exactly when it lists every facet, since each
-        # facet appears, with right-hand side 1, in any H-description of
-        # the hull.
-        declared = set(canon_set(ball.hrep))
-        extras = declared - set(hrep)
-        if any(abs(phi.dot(g)) > 1 for g in gens for phi in extras):
+    if ball.hrep is not None and (declared := canon_rows(ball.hrep)) != (hrep, hden):
+        # Mutual containment against the declared hrep, on integer rows
+        # over one denominator.  The generators satisfy every facet of
+        # their own hull, so only the declared rows that are no facets are
+        # tested on them; and the declared region lies inside the hull
+        # exactly when it lists every facet, since each facet appears, with
+        # right-hand side 1, in any H-description of the hull.
+        rows, den = declared
+        wrong = {len(row) for row in rows} - {dim}
+        if wrong:
+            raise DimensionMismatch(f"vector dims {min(wrong)} != {dim}")
+        scale = lcm(den, hden)
+        declared_rows = {tuple(x * (scale // den) for x in row) for row in rows}
+        facets = {tuple(x * (scale // hden) for x in row) for row in hrep}
+        extras = declared_rows - facets
+        bound = scale * gden
+        if any(abs(sum(map(mul, phi, g))) > bound for g in gens for phi in extras):
             raise NotANorm("vrep point violates declared hrep")
-        if not set(hrep) <= declared:
+        if not facets <= declared_rows:
             raise NotANorm("declared hrep region is larger than the hull")
-    return _canonical(Ball(dim, vrep, hrep))
-
+    return _canonical(Ball(dim, _rationals(vrep, gden), _rationals(hrep, hden)))

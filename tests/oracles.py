@@ -183,6 +183,28 @@ def brute_force_facets(functionals, dim):
     return facets
 
 
+def fraction_apply(matrix, v):
+    """The Fraction form of `QMat.apply`: one row dot product at a time."""
+    return QVec(
+        tuple(
+            sum((matrix.entries[i][j] * v.entries[j] for j in range(matrix.cols)), Fraction(0))
+            for i in range(matrix.rows)
+        )
+    )
+
+
+def fraction_matmul(a, b):
+    """The Fraction form of `QMat.__matmul__`: rows of a against columns of b."""
+    bt = b.transpose()
+    return QMat(
+        tuple(
+            tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt.entries)
+            for row in a.entries
+        ),
+        (a.rows, b.cols),
+    )
+
+
 def fraction_rref(rows):
     """Reduced row echelon form by Gauss-Jordan over Fractions.
 
@@ -218,7 +240,8 @@ def fraction_enumerate_vertices(functionals, dim):
 
     Same initial parallelotope, constraint order, adjacency test and output
     order, with every point a QVec of Fractions and the base inverse taken
-    by `fraction_rref`; returns (vertices, tight masks) or raises
+    by `fraction_rref`; it has no edge-count precheck, so every pair goes
+    through the adjacency test.  Returns (vertices, tight masks) or raises
     AssertionError when the functionals do not span.
     """
     _, chosen = fraction_rref([[phi[j] for phi in functionals] for j in range(dim)])
@@ -234,7 +257,7 @@ def fraction_enumerate_vertices(functionals, dim):
     masks = []
     for bits in range(1 << dim):
         s = QVec.of([1 if (bits >> i) & 1 == 0 else -1 for i in range(dim)])
-        vertices.append(base_inv.apply(s))
+        vertices.append(fraction_apply(base_inv, s))
         masks.append(
             sum(1 << (2 * k + ((bits >> i) & 1)) for i, k in enumerate(chosen))
         )
@@ -294,7 +317,9 @@ def fraction_operator_norm(T):
     domain vertex, one matrix-vector product at a time."""
     if T.domain.dim == 0:
         return Fraction(0)
-    return max(fraction_norm_eval(T.codomain, T.matrix.apply(v)) for v in T.domain.ball.vrep)
+    return max(
+        fraction_norm_eval(T.codomain, fraction_apply(T.matrix, v)) for v in T.domain.ball.vrep
+    )
 
 
 def fraction_is_isometric(T):
@@ -303,7 +328,7 @@ def fraction_is_isometric(T):
     if fraction_operator_norm(T) > 1:
         return False
     bt = T.matrix.transpose()
-    pulled = {canon_sign(bt.apply(psi)) for psi in T.codomain.ball.hrep}
+    pulled = {canon_sign(fraction_apply(bt, psi)) for psi in T.codomain.ball.hrep}
     return all(phi in pulled for phi in T.domain.ball.hrep)
 
 
@@ -364,7 +389,7 @@ def sphere_min_by_facet_lp(matrix, domain, codomain):
     for phi in domain.ball.hrep:
         facet = [u for u in signed_verts if phi.dot(u) == 1]
         k = len(facet)
-        images = [matrix.apply(u) for u in facet]
+        images = [fraction_apply(matrix, u) for u in facet]
         constraints = [(QVec.of([1] * k + [0]), "=", Fraction(1))]
         for psi in signed_psi:
             row = [psi.dot(img) for img in images] + [Fraction(-1)]

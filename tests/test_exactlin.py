@@ -24,7 +24,15 @@ from polyban.exactlin import (
     solve_linear,
 )
 
-from oracles import brute_force_lp, fraction_rref, greedy_columns, minor_rank, split
+from oracles import (
+    brute_force_lp,
+    fraction_apply,
+    fraction_matmul,
+    fraction_rref,
+    greedy_columns,
+    minor_rank,
+    split,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12
@@ -35,8 +43,8 @@ def qvec(*values):
     return QVec.of(values)
 
 
-def draw_matrix(draw, rows, cols):
-    row = st.lists(rationals, min_size=cols, max_size=cols)
+def draw_matrix(draw, rows, cols, entries=rationals):
+    row = st.lists(entries, min_size=cols, max_size=cols)
     return QMat.from_rows(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
 
 
@@ -97,6 +105,59 @@ class TestQMatShapes:
             QMat.from_cols([qvec(1, 2, 3)], rows=5)
         assert QMat.from_cols([qvec(1, 2, 3)], rows=3).shape == (3, 1)
         assert QMat.from_cols([], rows=5).shape == (5, 0)
+
+
+# Both signs, and denominators up to 2^40.
+wide_rationals = rationals | st.fractions(
+    min_value=-(2**45), max_value=2**45, max_denominator=2**40
+)
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b, v) with a of shape r x k, b of shape k x c and v of dim k,
+    every size from 0 to 4."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw_matrix(draw, r, k, wide_rationals)
+    b = draw_matrix(draw, k, c, wide_rationals)
+    v = QVec(tuple(draw(st.lists(wide_rationals, min_size=k, max_size=k))))
+    return a, b, v
+
+
+class TestProducts:
+    """Products on cleared forms against their Fraction forms."""
+
+    @given(product_operands())
+    @settings(max_examples=150, deadline=None)
+    @example((QMat.zeros(0, 3), QMat.zeros(3, 2), QVec.of([1, "-1/2", 3])))
+    @example((QMat.zeros(2, 0), QMat.zeros(0, 3), QVec.of([])))
+    @example((QMat.zeros(3, 2), QMat.zeros(2, 0), QVec.of(["2/3", "-5/7"])))
+    @example((QMat.from_rows([[-(2**45), Fraction(1, 2**40)]]),
+              QMat.from_rows([[Fraction(-3, 2**40)], [Fraction(2**40 - 1, 2**40)]]),
+              QVec.of([Fraction(7, 2**40), -1])))
+    def test_same_values_as_fraction_path(self, operands):
+        a, b, v = operands
+        product = a @ b
+        assert product.shape == (a.rows, b.cols)
+        assert product == fraction_matmul(a, b)
+        assert a.apply(v) == fraction_apply(a, v)
+
+    def test_products_take_no_fraction_arithmetic(self, forbid_fraction_arithmetic):
+        a = QMat.from_rows([["1/2", -3], ["2/3", 0], [0, "-5/7"]])
+        b = QMat.from_rows([[1, "1/4"], ["-2/5", 3]])
+        v = QVec.of(["3/2", "-1/3"])
+        forbid_fraction_arithmetic()
+        assert a.apply(v) == QVec.of(["7/4", 1, "5/21"])
+        assert a @ b == QMat.from_rows([["17/10", "-71/8"], ["2/3", "1/6"], ["2/7", "-15/7"]])
+        assert (b @ QMat.zeros(2, 0)).shape == (2, 0)
+        assert QMat.zeros(0, 2).apply(v) == QVec.of([])
+
+    def test_shape_mismatch_rejected(self):
+        a = QMat.from_rows([[1, 2]])
+        with pytest.raises(DimensionMismatch, match="inner dims 2 != 1"):
+            a @ a
+        with pytest.raises(DimensionMismatch, match="matrix cols 2 != vector dim 3"):
+            a.apply(qvec(1, 2, 3))
 
 
 class TestRat:

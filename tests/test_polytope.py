@@ -1,7 +1,9 @@
 """Double description engine: conversions, minimality, gauge agreement."""
 
 import itertools
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,11 +17,12 @@ from oracles import (
     gauge_vrep,
 )
 from polyban.banach import Space, l1_space, linf_space, quotient, space_from_vrep
-from polyban.errors import CapExceeded, NotANorm, VerificationError
+from polyban.errors import CapExceeded, DimensionMismatch, NotANorm, VerificationError
 from polyban.exactlin import QMat, QVec, rank
 from polyban.polytope import (
     Ball,
     _enumerate_vertices,
+    canon_rows,
     canon_set,
     canon_sign,
     complete_representations,
@@ -156,6 +159,36 @@ class TestConversions:
         assert ball.hrep == canon_set(funcs)
 
 
+def cube_rows(dim):
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+def cross_rows(dim):
+    """The cube's vertices, one per +-pair: the cross-polytope's facets."""
+    return [[1, *s] for s in itertools.product([1, -1], repeat=dim - 1)]
+
+
+def tied_rows(dim):
+    """The cube's facets and every (e_i +- e_j) / 2, each tight on a
+    codimension-2 face of the cube: many vertices of slack 0."""
+    half = [
+        [Fraction(int(k == i) + s * int(k == j), 2) for k in range(dim)]
+        for i, j in itertools.combinations(range(dim), 2)
+        for s in (1, -1)
+    ]
+    return cube_rows(dim) + half
+
+
+def random_rows(dim, count, seed):
+    """Rational rows that span, drawn with a fixed seed."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
+                for _ in range(count)]
+        if rank(QMat.from_rows(rows, cols=dim)) == dim:
+            return rows
+
+
 class TestIntegerEnumeration:
     """The integer double description against its Fraction form; the brute
     force comparison is TestConversions.test_matches_brute_force_vertices."""
@@ -164,26 +197,72 @@ class TestIntegerEnumeration:
     @given(touching_rows(max_cube_dim=8, max_cross_dim=6))
     @example([[Fraction(1, 7), 0, 0], [0, Fraction(3, 11), 0], [0, 0, Fraction(2**40, 3)],
               [Fraction(1, 21), Fraction(1, 11), Fraction(2**40, 9)]])
+    # The edge-count precheck prunes most pairs here.
+    @example(cube_rows(6))
+    @example(cube_rows(7))
+    @example(cube_rows(8))
+    @example(cross_rows(6))
+    @example(cross_rows(7))
+    @example(cross_rows(8))
+    @example(tied_rows(5))
+    @example(tied_rows(6))
     def test_same_vertices_and_masks_as_fraction_path(self, rows):
         dim = len(rows[0])
-        functionals = [QVec.of(row) for row in rows]
-        points, masks = _enumerate_vertices(functionals, dim)
+        canonical, den = canon_rows([QVec.of(row) for row in rows])
+        points, masks = _enumerate_vertices(canonical, den, dim)
         # The library keeps each vertex as a homogeneous integer [*n, d].
         vertices = [QVec(tuple(Fraction(x, p[-1]) for x in p[:-1])) for p in points]
+        functionals = [QVec(tuple(Fraction(x, den) for x in row)) for row in canonical]
         assert (vertices, masks) == fraction_enumerate_vertices(functionals, dim)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.lists(st.fractions(-3, 3, max_denominator=2**40), min_size=3, max_size=3),
+        max_size=6,
+    ))
+    def test_canon_rows_is_canon_set_over_least_denominator(self, rows):
+        vectors = [QVec.of(row) for row in rows]
+        canonical, den = canon_rows(vectors)
+        assert tuple(QVec(tuple(Fraction(x, den) for x in row)) for row in canonical) == (
+            canon_set(vectors)
+        )
+        assert den == lcm(*(x.denominator for v in canon_set(vectors) for x in v))
 
     def test_completion_takes_no_rational_products(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("completion must not take a rational product")
 
-        units = [[int(i == j) for j in range(6)] for i in range(6)]
-        signs = [[1, *s] for s in itertools.product([1, -1], repeat=5)]
+        units, signs = cube_rows(6), cross_rows(6)
         for owner, name in ((QVec, "dot"), (QVec, "scale"), (QMat, "apply")):
             monkeypatch.setattr(owner, name, forbidden)
         l1 = complete_from_vrep(6, units)
         assert (l1.vrep, l1.hrep) == (canon_set(vecs(*units)), canon_set(vecs(*signs)))
         linf = complete_from_hrep(6, units)
         assert (linf.vrep, linf.hrep) == (canon_set(vecs(*signs)), canon_set(vecs(*units)))
+
+    def test_completion_takes_no_fraction_arithmetic(self, forbid_fraction_arithmetic):
+        units, signs = vecs(*cube_rows(6)), vecs(*cross_rows(6))
+        l1 = Ball(6, canon_set(units), canon_set(signs))
+        linf = Ball(6, canon_set(signs), canon_set(units))
+        rows = vecs(*random_rows(5, 9, seed=5))
+        ball = complete_representations(Ball.from_vrep(5, rows))
+        polar = complete_representations(Ball.from_hrep(5, rows))
+        # A row valid on the ball but no facet of it: the declared-hrep check.
+        extra = QVec(tuple(x / 2 for x in ball.hrep[0]))
+        forbid_fraction_arithmetic()
+        for given, reference in (
+            (Ball.from_vrep(6, units), l1),
+            (Ball.from_hrep(6, signs), l1),
+            (Ball.from_hrep(6, units), linf),
+            (Ball.from_vrep(6, signs), linf),
+            (Ball.from_vrep(5, rows), ball),
+            (Ball.from_hrep(5, ball.hrep), ball),
+            (Ball(5, ball.vrep, ball.hrep), ball),
+            (Ball(5, ball.vrep, ball.hrep + (extra,)), ball),
+            (Ball.from_hrep(5, rows), polar),
+            (Ball.from_vrep(5, polar.vrep), polar),
+        ):
+            assert complete_representations(given) == reference
 
 
 class TestValidation:
@@ -266,6 +345,36 @@ class TestValidation:
             declared = ball.hrep[:drop] + ball.hrep[drop + 1 :]
             with pytest.raises(NotANorm):
                 complete_representations(Ball(dim, ball.vrep, declared))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Ball.from_vrep(2, vecs((1, 0, 0), (0, 1, 0))), "declared cols 2 != row width 3"),
+            (lambda: Ball.from_vrep(3, vecs((1, 0), (0, 1))), "declared cols 3 != row width 2"),
+            (lambda: Ball.from_vrep(2, vecs((1, 0), (0, 1, 0))), "ragged rows"),
+            (lambda: Ball.from_hrep(2, vecs((1, 0, 0), (0, 1, 0))), "declared cols 2 != row width 3"),
+            (lambda: Ball.from_hrep(2, vecs((1, 0), (0, 1, 0))), "ragged rows"),
+            (lambda: Ball(2, vecs((1, 0, 0), (0, 1, 0)), vecs((1, 0), (0, 1))),
+             "declared cols 2 != row width 3"),
+            (lambda: Ball(2, vecs((1, 0), (0, 1, 0)), vecs((1, 0), (0, 1))), "ragged rows"),
+            # A declared hrep row is measured against the generators.
+            (lambda: Ball(2, vecs((1, 0), (0, 1)), vecs((1, 1, 0), (1, -1, 0))), "vector dims 3 != 2"),
+            (lambda: Ball(2, vecs((1, 0), (0, 1)), vecs((1, 1), (1, -1, 0))), "vector dims 3 != 2"),
+            (lambda: Ball(2, vecs((1, 0), (0, 1)), vecs((1, 1), (1, -1), (1,))), "vector dims 1 != 2"),
+        ],
+        ids=[
+            "vrep-wide", "vrep-narrow", "vrep-ragged", "hrep-wide", "hrep-ragged",
+            "both-vrep-wide", "both-vrep-ragged", "both-hrep-wide", "both-hrep-ragged",
+            "both-hrep-narrow",
+        ],
+    )
+    def test_mis_sized_rows_rejected(self, make, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            complete_representations(make())
+
+    def test_zero_rows_are_dropped_before_the_width_check(self):
+        ball = Ball.from_vrep(2, vecs((1, 0), (0, 1), (0, 0, 0)))
+        assert complete_representations(ball) == complete_from_vrep(2, ((1, 0), (0, 1)))
 
     def test_signed_rep_of_a_missing_side_rejected(self):
         with pytest.raises(VerificationError):
