@@ -164,9 +164,9 @@ class QMat:
     def identity(n: int) -> "QMat":
         if n < 0:
             raise DimensionMismatch(f"negative size {n}")
-        return QMat.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n
-        )
+        one, zero = Fraction(1), Fraction(0)
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return QMat(rows, (n, n))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QMat":

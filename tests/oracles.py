@@ -1,16 +1,39 @@
 """Independent oracles used to pin expected values before testing the library.
 
 Everything here is deliberately primitive: brute-force enumeration plus exact
-rational arithmetic, no reuse of the code paths under test.
+rational arithmetic, no reuse of the code paths under test.  The one integer
+routine, `sequential_enumerate_vertices`, is the double description that
+`polytope._enumerate_vertices` replaced; it shares `_primitive` and
+`_rref_ints` with the library, and `fraction_enumerate_vertices` checks it
+without them.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from polyban.exactlin import OPTIMAL, LpProblem, QMat, QVec, lp_solve, solve_linear
-from polyban.polytope import Ball, canon_set, canon_sign
+from polyban.errors import NotANorm
+from polyban.exactlin import (
+    OPTIMAL,
+    LpProblem,
+    QMat,
+    QVec,
+    _primitive,
+    _rref_ints,
+    lp_solve,
+    solve_linear,
+)
+from polyban.polytope import Ball, canon_sign
+
+
+def fraction_canon_set(vectors):
+    """The Fraction form of `polytope.canon_set`: each nonzero vector signed
+    by `canon_sign`, deduped and sorted as Fraction tuples."""
+    seen = {canon_sign(v).entries for v in vectors if not v.is_zero()}
+    return tuple(QVec(e) for e in sorted(seen))
 
 
 def _det(rows):
@@ -235,8 +258,108 @@ def fraction_rref(rows):
     return rows[:r], pivots
 
 
+def sequential_enumerate_vertices(rows, den, dim):
+    """The integer double description that `polytope._enumerate_vertices`
+    replaced: both vertices of every +-pair kept, and +row and -row cut as
+    two halfspaces, one after the other.
+
+    Takes integer rows of width dim and ``den > 0``; returns every vertex
+    as a homogeneous integer ``[*n, d]`` with its tight mask (+row k at bit
+    2k, -row k at 2k+1), in the order of `fraction_enumerate_vertices`.
+    Raises NotANorm when the region is unbounded.
+    """
+    signed = []
+    for row in rows:
+        *a, q = _primitive([*row, den])
+        signed.append((a, q))
+        signed.append(([-x for x in a], q))
+    m = len(rows)
+    # The initial parallelotope: one elimination of [A^t | I] picks the
+    # greedy independent rows as the pivots among A^t's columns, and leaves
+    # E with E A_c^t diagonal, so column r of A_c^-1 is E_r / p_r.
+    reduced, chosen = _rref_ints(
+        [[a[j] for a, _ in signed[::2]] + [int(i == j) for i in range(dim)] for j in range(dim)]
+    )
+    if chosen[-1] >= m:
+        raise NotANorm("functionals do not span; the region is unbounded")
+    e = lcm(*(row[c] for row, c in zip(reduced, chosen)))
+    # The chosen row k = chosen[r] is tight where a_k . x = s_r q_k, so the
+    # vertex for signs s is (1/e) sum_r s_r cols[r].
+    cols = [
+        [signed[2 * c][1] * (e // row[c]) * x for x in row[m:]]
+        for row, c in zip(reduced, chosen)
+    ]
+
+    # Initial vertices: one per sign vector s, where the chosen row k =
+    # chosen[r] is tight with sign s_r (+row k at bit 2k, -row k at 2k+1).
+    # Vertex number sum_r b_r 2^r has s_r = (-1)^b_r; the sums are built by
+    # doubling the list once per column, the last column first.
+    partial: list[tuple[list[int], int]] = [([0] * dim, 0)]
+    for col, k in zip(reversed(cols), reversed(chosen)):
+        steps = ((col, 1 << 2 * k), ([-x for x in col], 1 << 2 * k + 1))
+        partial = [
+            ([x + y for x, y in zip(v, step)], mask | bit)
+            for v, mask in partial
+            for step, bit in steps
+        ]
+    vertices = [_primitive([*v, e]) for v, _ in partial]
+    masks = [mask for _, mask in partial]
+    processed = {c for k in chosen for c in (2 * k, 2 * k + 1)}
+
+    # Add the remaining signed constraints one at a time.
+    for c, (a, q) in enumerate(signed):
+        if c in processed:
+            continue
+        slack = [q * v[-1] - sum(map(mul, a, v)) for v in vertices]
+        inside = [i for i, g in enumerate(slack) if g > 0]
+        on = [i for i, g in enumerate(slack) if g == 0]
+        outside = [i for i, g in enumerate(slack) if g < 0]
+        if not outside:
+            for i in on:
+                masks[i] |= 1 << c
+            continue
+        new_vertices = []
+        new_masks = []
+        for i in inside:
+            for j in outside:
+                common = masks[i] & masks[j]
+                # An edge lies on at least dim - 1 tight constraints, so a
+                # pair with fewer in common is no edge; the combinatorial
+                # test below would reject it too, only later.
+                if common.bit_count() < dim - 1:
+                    continue
+                # Combinatorial adjacency: no third vertex's tight set
+                # contains the common tight set.
+                adjacent = True
+                for k, mk in enumerate(masks):
+                    if k != i and k != j and common & mk == common:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                # The point of the edge where the slack is 0; both weights
+                # are positive, so the denominator stays positive.
+                si, sj = slack[i], slack[j]
+                point = [si * y - sj * x for x, y in zip(vertices[i], vertices[j])]
+                new_vertices.append(_primitive(point))
+                new_masks.append(common | (1 << c))
+        on_set = set(on)
+        keep_idx = inside + on
+        vertices = [vertices[i] for i in keep_idx] + new_vertices
+        masks = [
+            masks[i] | ((1 << c) if i in on_set else 0) for i in keep_idx
+        ] + new_masks
+    # The points are distinct vertices with exact tight sets.  A new point
+    # lies strictly inside an edge, since both weights are positive; the
+    # combinatorial test admits only true edges, and distinct edges have
+    # disjoint interiors, so no two points coincide; and a constraint tight
+    # inside an edge is tight along the whole edge, so common | bit c is the
+    # exact tight set.
+    return vertices, masks
+
+
 def fraction_enumerate_vertices(functionals, dim):
-    """The double description of `polytope._enumerate_vertices` over Fractions.
+    """The double description of `sequential_enumerate_vertices` over Fractions.
 
     Same initial parallelotope, constraint order, adjacency test and output
     order, with every point a QVec of Fractions and the base inverse taken
@@ -366,7 +489,7 @@ def correction_norm_inf(c, v):
     gens = [x.concat(zero_y) for x in X.ball.vrep]
     gens += [zero_x.concat(y) for y in Y.ball.vrep]
     gens += [x.scale(inv).concat(c.f(x).scale(-inv)) for x in X.ball.vrep]
-    return gauge_vrep(Ball(c.Z0.dim, canon_set(gens), None), v)
+    return gauge_vrep(Ball(c.Z0.dim, fraction_canon_set(gens), None), v)
 
 
 def split(values):

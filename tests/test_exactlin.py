@@ -100,6 +100,14 @@ class TestQMatShapes:
             with pytest.raises(DimensionMismatch):
                 make()
 
+    def test_identity_is_the_unit_matrix(self):
+        for n in range(5):
+            eye = QMat.identity(n)
+            units = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert eye == QMat.from_rows(units, cols=n)
+            assert eye.shape == (n, n)
+            assert all(type(x) is Fraction for row in eye.entries for x in row)
+
     def test_from_cols_checks_declared_height(self):
         with pytest.raises(DimensionMismatch, match="declared rows 5 != column height 3"):
             QMat.from_cols([qvec(1, 2, 3)], rows=5)

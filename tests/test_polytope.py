@@ -13,15 +13,19 @@ from oracles import (
     brute_force_facets,
     brute_force_gauge,
     brute_force_vertices,
+    fraction_canon_set,
     fraction_enumerate_vertices,
     gauge_vrep,
+    sequential_enumerate_vertices,
 )
 from polyban.banach import Space, l1_space, linf_space, quotient, space_from_vrep
 from polyban.errors import CapExceeded, DimensionMismatch, NotANorm, VerificationError
-from polyban.exactlin import QMat, QVec, rank
+from polyban.exactlin import QMat, QVec, _cleared_rows, rank
 from polyban.polytope import (
     Ball,
+    IntegerBall,
     _enumerate_vertices,
+    canon_ints,
     canon_rows,
     canon_set,
     canon_sign,
@@ -189,9 +193,22 @@ def random_rows(dim, count, seed):
             return rows
 
 
+def signed_points(points, masks, count):
+    """Both signs of each representative ``[*n, d]``, with tight masks over
+    ``count`` rows: -n / d is tight at constraint c when n / d is at c ^ 1."""
+    plus_bits = sum(1 << 2 * k for k in range(count))
+    out = set()
+    for p, mask in zip(points, masks):
+        out.add((tuple(p), mask))
+        partner = (mask & plus_bits) << 1 | (mask >> 1) & plus_bits
+        out.add((tuple(-x for x in p[:-1]) + (p[-1],), partner))
+    return out
+
+
 class TestIntegerEnumeration:
-    """The integer double description against its Fraction form; the brute
-    force comparison is TestConversions.test_matches_brute_force_vertices."""
+    """The double description against the sequential integer routine it
+    replaced and that routine's Fraction form; the brute force comparison
+    is TestConversions.test_matches_brute_force_vertices."""
 
     @settings(max_examples=60, deadline=None)
     @given(touching_rows(max_cube_dim=8, max_cross_dim=6))
@@ -206,14 +223,34 @@ class TestIntegerEnumeration:
     @example(cross_rows(8))
     @example(tied_rows(5))
     @example(tied_rows(6))
+    # In dim 1, v and -v are adjacent: the new vertex is on their edge.
+    @example([[1], [2]])
+    @example([[Fraction(1, 3)], [3], [Fraction(-5, 2)]])
+    @example([[1, 0], [0, 1], [1, 1]])
+    # Both representatives of the square are outside |4x + 2y| <= 1, and
+    # each new vertex is on the edge from one to the other's partner.
+    @example([[1, 0], [0, 1], [4, 2]])
+    # The vertex (0, 1) is tight at -q only for the row (2, -1), and at +q
+    # for the row (2, 1).
+    @example([[1, 0], [0, 1], [2, -1], [2, 1]])
     def test_same_vertices_and_masks_as_fraction_path(self, rows):
         dim = len(rows[0])
         canonical, den = canon_rows([QVec.of(row) for row in rows])
         points, masks = _enumerate_vertices(canonical, den, dim)
-        # The library keeps each vertex as a homogeneous integer [*n, d].
-        vertices = [QVec(tuple(Fraction(x, p[-1]) for x in p[:-1])) for p in points]
+        # One homogeneous integer [*n, d] per +-pair: no two are equal or
+        # antipodal.  The order is free, so the paths are compared as sets.
+        assert len({(canon_ints(p[:-1]), p[-1]) for p in points}) == len(points)
+        signed = signed_points(points, masks, len(canonical))
+        assert len(signed) == 2 * len(points)
+        sequential = sequential_enumerate_vertices(canonical, den, dim)
+        assert len(sequential[0]) == 2 * len(points)
+        assert signed == {(tuple(p), mask) for p, mask in zip(*sequential)}
         functionals = [QVec(tuple(Fraction(x, den) for x in row)) for row in canonical]
-        assert (vertices, masks) == fraction_enumerate_vertices(functionals, dim)
+        vertices, fraction_masks = fraction_enumerate_vertices(functionals, dim)
+        assert len(vertices) == 2 * len(points)
+        assert {(QVec(tuple(Fraction(x, p[-1]) for x in p[:-1])), mask) for p, mask in signed} == (
+            set(zip(vertices, fraction_masks))
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(
@@ -223,10 +260,33 @@ class TestIntegerEnumeration:
     def test_canon_rows_is_canon_set_over_least_denominator(self, rows):
         vectors = [QVec.of(row) for row in rows]
         canonical, den = canon_rows(vectors)
-        assert tuple(QVec(tuple(Fraction(x, den) for x in row)) for row in canonical) == (
-            canon_set(vectors)
-        )
-        assert den == lcm(*(x.denominator for v in canon_set(vectors) for x in v))
+        reference = fraction_canon_set(vectors)
+        assert tuple(QVec(tuple(Fraction(x, den) for x in row)) for row in canonical) == reference
+        assert den == lcm(*(x.denominator for v in reference for x in v))
+        assert canon_set(vectors) == reference
+
+    def test_completion_keeps_its_integer_form_over_least_denominators(self):
+        rows = vecs(*random_rows(4, 7, seed=3))
+        ball = complete_representations(Ball.from_vrep(4, rows))
+        # The dropped row (or generator) carries the largest denominator, 13,
+        # so the kept ones are over a smaller one.
+        inner = (Fraction(1, 13), Fraction(1, 13))
+        square = complete_from_hrep(2, ((1, 0), (0, 1), inner))
+        diamond = complete_from_vrep(2, ((1, 0), (0, 1), inner))
+        assert square.cleared().facet_den == 1 and diamond.cleared().vertex_den == 1
+        for completed in (
+            ball,
+            complete_representations(Ball.from_hrep(4, ball.hrep)),
+            complete_representations(Ball(4, ball.vrep, ball.hrep)),
+            complete_representations(Ball.from_hrep(4, rows)),
+            square,
+            diamond,
+            complete_representations(Ball(2, square.vrep, square.hrep + vecs(inner))),
+            complete_representations(Ball(0, None, ())),
+        ):
+            assert completed.cleared() == IntegerBall(
+                *_cleared_rows(completed.hrep), *_cleared_rows(completed.vrep)
+            )
 
     def test_completion_takes_no_rational_products(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -375,6 +435,13 @@ class TestValidation:
     def test_zero_rows_are_dropped_before_the_width_check(self):
         ball = Ball.from_vrep(2, vecs((1, 0), (0, 1), (0, 0, 0)))
         assert complete_representations(ball) == complete_from_vrep(2, ((1, 0), (0, 1)))
+
+    def test_cleared_form_of_an_uncompleted_ball_rejected(self):
+        # Both representations, consistent, but not from complete_representations.
+        l1 = Ball(2, vecs((0, 1), (1, 0)), vecs((1, -1), (1, 1)))
+        for ball in (l1, Ball.from_hrep(1, vecs((1,)))):
+            with pytest.raises(VerificationError, match="ball is not completed"):
+                ball.cleared()
 
     def test_signed_rep_of_a_missing_side_rejected(self):
         with pytest.raises(VerificationError):
