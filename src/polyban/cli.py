@@ -14,6 +14,7 @@ construction raising VerificationError), 2 means the inputs were rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -192,8 +193,15 @@ def cmd_repair(args) -> dict:
 
 def cmd_chain_build(args) -> dict:
     chain = build_chain(args.stages, args.dim_cap, args.seed)
+    # A step that adds nothing appends its predecessor's stage object, whose
+    # norm is taken already.
     worst_norm = max(
-        (operator_norm(st.F) for st in chain.stages), default=Fraction(0)
+        (
+            operator_norm(st.F)
+            for prev, st in zip((None, *chain.stages), chain.stages)
+            if st is not prev
+        ),
+        default=Fraction(0),
     )
     realized = sum(
         1 for entry in chain.log if entry.verdict.startswith("realized")
@@ -326,72 +334,81 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, handler, **kwargs):
+    def add(verb, **kwargs):
         p = sub.add_parser(verb, **kwargs)
-        p.set_defaults(handler=handler)
         p.add_argument("--out", help="write the report here instead of stdout")
         return p
 
-    p = add("space-check", cmd_space_check)
+    p = add("space-check")
     p.add_argument("input", help="space or ball JSON file")
 
-    p = add("op-norm", cmd_op_norm)
+    p = add("op-norm")
     p.add_argument("input", help="linear map JSON file")
 
-    p = add("amalgam-pushout", cmd_amalgam_pushout)
+    p = add("amalgam-pushout")
     p.add_argument("input", help="JSON file with maps i and f")
 
-    p = add("amalgam-correct", cmd_amalgam_correct)
+    p = add("amalgam-correct")
     p.add_argument("input", help="JSON file with the map f")
     p.add_argument("--eps", type=rat, required=True)
 
-    p = add("square-sum", cmd_square_sum)
+    p = add("square-sum")
     p.add_argument("input", help="JSON file with T0, T1, f0, f1")
     p.add_argument("--eps", type=rat, required=True)
     p.add_argument("--delta", type=rat, required=True)
 
-    p = add("repair", cmd_repair)
+    p = add("repair")
     p.add_argument("input", help="JSON file with T and the pins i0, j0")
     p.add_argument("--delta", type=rat, required=True)
 
-    p = add("chain-build", cmd_chain_build)
+    p = add("chain-build")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("g-witness", cmd_g_witness)
+    p = add("g-witness")
     p.add_argument("chain", help="chain JSON file")
     p.add_argument("input", help="JSON file with T, X0incl, Y0incl, seed")
     p.add_argument("--eps", type=rat, required=True)
 
-    p = add("embed", cmd_embed)
+    p = add("embed")
     p.add_argument("chain", help="chain JSON file")
     p.add_argument("input", help="JSON file with the operator T")
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("bnf", cmd_bnf)
+    p = add("bnf")
     p.add_argument("chain_a", help="first chain JSON file")
     p.add_argument("chain_b", help="second chain JSON file")
     p.add_argument("input", help="JSON file with stage_a, stage_b, i0, i1")
     p.add_argument("--eps", type=rat, required=True)
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("kernel", cmd_kernel)
+    p = add("kernel")
     p.add_argument("chain", help="chain JSON file")
     p.add_argument("input", help="JSON file with X0incl and i")
     p.add_argument("--eps", type=rat, required=True)
 
-    p = add("surject", cmd_surject)
+    p = add("surject")
     p.add_argument("chain", help="chain JSON file")
     p.add_argument("input", help="JSON file with the target vector v")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parse_args leaves no
+    state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The handler is looked up by name at each call, not stored in the
+    # cached parser, so a cmd_* rebound since the parser was built runs.
+    handler = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
-        doc = args.handler(args)
+        doc = handler(args)
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 1

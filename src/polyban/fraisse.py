@@ -438,11 +438,32 @@ def _step_realize(
 
 def step_chain(chain: Chain, task: Task) -> Chain:
     """One construction step: realize the task if condition (*) holds, else
-    repeat the previous stage; a cap overflow is logged, not raised."""
+    repeat the previous stage; a cap overflow is logged, not raised.
+
+    A task that adds no dimension (T: X -> Y with X and Y of the anchor
+    stage's dimensions) is realized by the previous stage itself, which is
+    appended as it is:
+
+    - i and j are isometric and between equal dimensions, so they are
+      isometric isomorphisms;
+    - the pushout therefore has w_dim == prev.dim and its identity pad is
+      isometric, so realize_over returns N == prev on each side;
+    - the pad block of spanning is the identity, so F_new == F_prev;
+    - consistency, F_prev emb_x == emb_y T, follows from T i == j F_anchor
+      and from F_prev extending F_anchor along the pads.
+
+    Its verdict is "realized", or "skipped:cap" when the previous stage
+    already exceeds the cap, as _step_realize would decide.  The witnesses
+    realize through _step_realize, which also returns the embeddings.
+    """
     if not chain.stages:
         raise PreconditionError("chain must contain stage 0")
     if not _star_condition(chain, task):
         return _repeat_stage(chain, task, "repeated")
+    prev, anchor = chain.stages[-1], chain.stages[task.k]
+    if task.T.domain.dim == anchor.U.dim and task.T.codomain.dim == anchor.V.dim:
+        over = max(prev.U.dim, prev.V.dim) > chain.dim_cap
+        return _repeat_stage(chain, task, "skipped:cap" if over else "realized")
     try:
         new_chain, _, _ = _step_realize(chain, task, chain.dim_cap)
     except CapExceeded:
@@ -468,9 +489,10 @@ def build_chain(stages: int, dim_cap: int = DEFAULT_DIM_CAP, seed: int = 0) -> C
         if n > 1:
             pool += _stage_group(rnd, chain, n - 1)
         chain = step_chain(chain, pool[_dovetail(n - 1) % len(pool)])
-    # Each realized step certified its extension identity in solve_through
-    # and its inclusions isometric in realize_over; a repeated stage keeps
-    # its operator and includes by identities.
+    # Each step that grew a stage certified its extension identity in
+    # solve_through and its inclusions isometric in realize_over; every other
+    # step appended the previous stage object itself, which keeps its
+    # operator and includes by identities.
     checks = (
         check_true(
             "every stage extends the previous one exactly",

@@ -10,6 +10,7 @@ byte-equal files.
 
 from __future__ import annotations
 
+import itertools
 import json
 from contextlib import contextmanager
 from typing import Optional
@@ -195,9 +196,43 @@ def _verify_stage(prev: ChainStage, stage: ChainStage) -> None:
         raise ParseError("stage inclusion lost isometry")
 
 
+def _same_json(a, b) -> bool:
+    """a == b as parsed JSON with every type kept apart: true is not 1, and
+    1 is neither 1.0 nor "1"."""
+    return a == b and _same_numbers(a, b)
+
+
+def _same_numbers(a, b) -> bool:
+    """For a == b: whether each number in a has the type of b's there.
+    Numbers are the only JSON values equal across types."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return all(_same_numbers(value, b[key]) for key, value in a.items())
+    if not isinstance(a, list):
+        return True
+    flat = itertools.chain.from_iterable
+    if set(map(type, a)) == {list}:
+        # Since a == b, the rows have equal lengths: compare their entries.
+        a, b = list(flat(a)), flat(b)
+    if set(map(type, a)).isdisjoint((bool, int, float, list, dict)):
+        return True
+    return all(map(_same_numbers, a, b))
+
+
 def chain_from_json(obj, verify: bool = True) -> Chain:
     """Rebuild a chain; with verify, every stage is checked in full.  A stage
-    whose spaces shrink is rejected either way."""
+    whose spaces shrink is rejected either way.
+
+    From stage 2 on, a record whose U, V and F equal the previous record's,
+    as JSON and type for type, is the previous stage: the same ChainStage
+    object is appended, with no second parse or check.  Its checks follow from the
+    previous stage's: F is the same, the pads are identities, and F's norm
+    was checked with the previous stage (stage 0 has no check of its own,
+    so stage 1 is always parsed).  Likewise a U or V equal to the previous
+    record's is the previous stage's space.  Every record's log entry is
+    parsed and checked.
+    """
     if not isinstance(obj, dict) or "stages" not in obj:
         raise ParseError("chain object needs a stages list")
     dim_cap = obj.get("dim_cap")
@@ -212,16 +247,22 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
         raise ParseError("chain needs a stages list with at least stage 0")
     stages: list[ChainStage] = []
     log: list[LogEntry] = []
+    docs: list = [None, None, None]
     for idx, record in enumerate(raw_stages):
         what = f"chain stage {idx}"
-        U_doc, V_doc, F_rows = (require_field(record, k, what) for k in ("U", "V", "F"))
-        with _labelled(what):
-            U, V = space_from_json(U_doc), space_from_json(V_doc)
-            stage = ChainStage(U, V, LinMap(mat_from_json(F_rows, V.dim, U.dim), U, V))
-            if idx > 0:
-                _check_growth(stages[-1], stage)
-                if verify:
-                    _verify_stage(stages[-1], stage)
+        prev_docs, docs = docs, [require_field(record, k, what) for k in ("U", "V", "F")]
+        same = [idx > 0 and _same_json(new, old) for new, old in zip(docs, prev_docs)]
+        if idx > 1 and all(same):
+            stage = stages[-1]
+        else:
+            with _labelled(what):
+                U = stages[-1].U if same[0] else space_from_json(docs[0])
+                V = stages[-1].V if same[1] else space_from_json(docs[1])
+                stage = ChainStage(U, V, LinMap(mat_from_json(docs[2], V.dim, U.dim), U, V))
+                if idx > 0:
+                    _check_growth(stages[-1], stage)
+                    if verify:
+                        _verify_stage(stages[-1], stage)
         stages.append(stage)
         entry = record.get("log")
         if idx > 0:

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from polyban.banach import LinMap, l1_space, line, zero_space
+import polyban.cli
+from polyban.banach import LinMap, l1_space, line, operator_norm, zero_space
 from polyban.cli import build_parser, main
 from polyban.errors import VerificationError
 from polyban.exactlin import QMat, QVec, rat, rat_str
@@ -194,6 +195,21 @@ class TestChainBuild:
         chain = chain_from_json(doc["chain"])
         assert chain == build_chain(8, dim_cap=6, seed=1)
         assert doc["realized"] >= 1
+
+    def test_norm_taken_once_per_distinct_stage(self, monkeypatch, tmp_path):
+        norms = []
+
+        def counted(T):
+            norms.append(T)
+            return operator_norm(T)
+
+        monkeypatch.setattr(polyban.cli, "operator_norm", counted)
+        out = tmp_path / "chain.json"
+        argv = ["chain-build", "--stages", "8", "--dim-cap", "6", "--seed", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        # Stages 1, 2, 4 and 7 repeat their predecessors.
+        stages = build_chain(8, dim_cap=6, seed=1).stages
+        assert norms == [stages[n].F for n in (0, 3, 5, 6, 8)]
 
     def test_negative_stage_count_rejected(self, capsys):
         assert main(["chain-build", "--stages", "-1"]) == 2
@@ -653,3 +669,114 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["norm"] == "1"
+
+
+class TestOneParser:
+    def test_parser_built_once_per_process(self, monkeypatch, tmp_path):
+        path = tmp_path / "m.json"
+        save_json(str(path), linmap_to_json(LinMap(QMat.identity(1), line(), line())))
+        built = []
+
+        def counted():
+            built.append(None)
+            return build_parser()
+
+        polyban.cli._parser.cache_clear()
+        monkeypatch.setattr(polyban.cli, "build_parser", counted)
+        for _ in range(3):
+            assert main(["op-norm", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(built) == 1
+
+    def test_handler_rebound_after_first_call_runs(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        save_json(str(path), linmap_to_json(LinMap(QMat.identity(1), line(), line())))
+        assert main(["op-norm", str(path)]) == 0
+        capsys.readouterr()
+        seen = []
+
+        def patched(args):
+            seen.append(args.input)
+            return {"verdict": "fail"}
+
+        monkeypatch.setattr(polyban.cli, "cmd_op_norm", patched)
+        assert main(["op-norm", str(path)]) == 1
+        assert seen == [str(path)]
+        assert json.loads(capsys.readouterr().out) == {"verdict": "fail"}
+
+    def test_successive_calls_share_no_state(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        save_json(str(path), linmap_to_json(LinMap(QMat.identity(1), line(), line())))
+        out = tmp_path / "report.json"
+        assert main(["op-norm", str(path), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        out.unlink()
+        assert main(["op-norm", str(path)]) == 0
+        assert capsys.readouterr().out == text
+        assert not out.exists()
+
+
+def repeat_with_bool_dim(stages):
+    stages[4]["U"]["dim"] = True
+
+
+def repeat_with_false_entry(stages):
+    stages[3]["F"] = [[0]]
+    stages[4]["F"] = [[False]]
+
+
+def repeat_with_true_entry(stages):
+    # Stage 5 does not extend [[1]]; the parse of stage 4 rejects first.
+    stages[3]["F"] = [[1]]
+    stages[4]["F"] = [[True]]
+
+
+def repeat_without_log(stages):
+    stages[4].pop("log")
+
+
+def integral(rows):
+    """rows with each integral entry written as a JSON integer."""
+    return [[int(x) if "/" not in x else x for x in row] for row in rows]
+
+
+class TestRepeatedChainRecords:
+    """Stage 4 of the fixture chain repeats stage 3: U = V = the line and
+    F = [[0]].  A repeated record is reused only when it equals the previous
+    record type for type, so one that differs as JSON is parsed and checked
+    as any other stage, and rejected at its own index."""
+
+    def surject(self, work, tmp_path, capsys, tamper):
+        doc = load_json(str(work / "chain.json"))
+        stages = doc["chain"]["stages"]
+        assert all(stages[4][k] == stages[3][k] for k in "UVF")
+        tamper(stages)
+        chain = tmp_path / "chain.json"
+        save_json(str(chain), doc)
+        target = tmp_path / "v.json"
+        save_json(str(target), {"v": ["1"]})
+        code = main(["surject", str(chain), str(target)])
+        captured = capsys.readouterr()
+        return code, captured.err, chain
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (repeat_with_bool_dim, "chain stage 4: space dim must be a nonnegative integer, got True"),
+            (repeat_with_false_entry, "chain stage 4: not a rational: False"),
+            (repeat_with_true_entry, "chain stage 4: not a rational: True"),
+            (repeat_without_log, "stage 4 is missing its log entry"),
+        ],
+        ids=["bool-dim", "false-entry", "true-entry", "missing-log"],
+    )
+    def test_repeated_record_checked_as_json(self, work, tmp_path, capsys, tamper, message):
+        code, err, chain = self.surject(work, tmp_path, capsys, tamper)
+        assert code == 2
+        assert err == f"error: {chain}: {message}\n"
+
+    @pytest.mark.parametrize("integer_at", [3, 4])
+    def test_record_equal_as_rationals_loads(self, work, tmp_path, capsys, integer_at):
+        def tamper(stages):
+            stages[integer_at]["F"] = integral(stages[integer_at]["F"])
+
+        code, err, _ = self.surject(work, tmp_path, capsys, tamper)
+        assert (code, err) == (0, "")

@@ -43,7 +43,10 @@ from polyban.fraisse import (
     surjectivity_witness,
     zero_chain,
     zero_task,
+    _repeat_stage,
     _stage_index,
+    _star_condition,
+    _step_realize,
 )
 
 F = Fraction
@@ -126,6 +129,16 @@ class TestEnumerateTasks:
             assert task.T.codomain.dim <= chain.dim_cap
 
 
+def realized_in_full(chain, task):
+    """The full path of step_chain for a task that meets condition (*): the
+    task realized through _step_realize, a cap overflow logged."""
+    try:
+        out, _, _ = _step_realize(chain, task, chain.dim_cap)
+    except CapExceeded:
+        return _repeat_stage(chain, task, "skipped:cap")
+    return out
+
+
 class TestStepChain:
     def test_zero_task_realized_verbatim(self):
         chain = zero_chain()
@@ -174,6 +187,60 @@ class TestStepChain:
         out = step_chain(chain, glue_task(0))
         assert out.log[-1].verdict == "skipped:cap"
         assert out.stages[-1].U.dim == 8
+
+    def test_growth_on_one_side_realized(self):
+        zero = zero_space()
+        ln = line_space()
+        task = Task(LinMap.zero(ln, zero), LinMap.zero(zero, ln), LinMap.identity(zero), 0)
+        out = step_chain(zero_chain(), task)
+        assert out.log[-1].verdict == "realized"
+        assert (out.stages[-1].U.dim, out.stages[-1].V.dim) == (1, 0)
+
+    def test_no_growth_past_the_cap_skips(self):
+        chain = ensure_dim(zero_chain(dim_cap=2), 4)
+        out = step_chain(chain, zero_task())
+        assert out.log[-1].verdict == "skipped:cap"
+        assert out.stages == chain.stages + chain.stages[-1:]
+
+    @pytest.mark.parametrize("cap", range(4, 9))
+    def test_every_step_equals_its_full_realization(self, monkeypatch, cap):
+        """A step whose task adds no dimension appends the previous stage
+        itself; realizing every task in full gives equal stages and verdicts."""
+        import polyban.fraisse
+
+        shared = []
+
+        def checked(chain, task):
+            out = step_chain(chain, task)
+            if _star_condition(chain, task):
+                assert out == realized_in_full(chain, task)
+                if out.stages[-1] is chain.stages[-1]:
+                    shared.append(out.log[-1].verdict)
+            return out
+
+        monkeypatch.setattr(polyban.fraisse, "step_chain", checked)
+        for seed in range(16):
+            build_chain(20, cap, seed)
+        assert shared.count("realized") >= 16 * 8
+
+    def test_realize_over_runs_only_on_growing_steps(self, monkeypatch):
+        import polyban.fraisse
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return realize_over(*args)
+
+        monkeypatch.setattr(polyban.fraisse, "realize_over", counted)
+        chain = build_chain(30, 8, 1)
+        pairs = list(zip(chain.stages, chain.stages[1:]))
+        growing = [
+            (prev.U.dim, prev.V.dim) != (stage.U.dim, stage.V.dim) for prev, stage in pairs
+        ]
+        assert len(calls) == 2 * sum(growing)
+        assert all(stage is prev for (prev, stage), grew in zip(pairs, growing) if not grew)
+        assert sum(growing) == 8
 
     def test_stage_invariants(self):
         chain = build_chain(6, dim_cap=4, seed=0)

@@ -116,6 +116,39 @@ class TestChain:
         reloaded = chain_from_json(load_json(str(path)))
         assert dumps_canonical(chain_to_json(reloaded)) == text
 
+    def test_each_distinct_record_side_completes_once(self, monkeypatch):
+        import polyban.banach
+        from polyban import polytope
+
+        doc = chain_to_json(build_chain(9, dim_cap=6, seed=1))
+        calls = []
+
+        def counted(ball):
+            calls.append(ball)
+            return polytope.complete_representations(ball)
+
+        monkeypatch.setattr(polyban.banach, "complete_representations", counted)
+        chain = chain_from_json(doc)
+        records = doc["stages"]
+        changes = [
+            n == 0 or record[side] != records[n - 1][side]
+            for side in "UV"
+            for n, record in enumerate(records)
+        ]
+        assert len(calls) == sum(changes) == 12
+        # Records 1, 2, 4 and 7 repeat their predecessors; stage 1 is checked
+        # all the same, since stage 0's operator norm is not.
+        reused = [n for n in range(1, 10) if chain.stages[n] is chain.stages[n - 1]]
+        assert reused == [2, 4, 7]
+        assert chain == build_chain(9, dim_cap=6, seed=1)
+
+    def test_stage_one_equal_to_stage_zero_is_checked(self):
+        record = {"U": space_to_json(line()), "V": space_to_json(line()), "F": [["2"]]}
+        log = {"task": "task", "verdict": "realized"}
+        doc = {"dim_cap": 4, "seed": 0, "stages": [record, dict(record, log=log)]}
+        with pytest.raises(ParseError, match=r"^chain stage 1: stage operator has norm 2 > 1$"):
+            chain_from_json(doc)
+
     def test_missing_log_rejected(self):
         doc = chain_to_json(build_chain(2))
         doc["stages"][1].pop("log")
