@@ -318,29 +318,42 @@ def _base_group(rnd: random.Random) -> list[Task]:
     return sorted(base, key=_task_key)
 
 
-def _stage_group(rnd: random.Random, chain: Chain, s: int) -> list[Task]:
-    """The pool's group for stage s: its identity task and one extension."""
+def _stage_group(rnd: random.Random, chain: Chain, s: int) -> list[Callable[[], Task]]:
+    """The pool's group for stage s, as makers: its identity task, then one
+    extension.  Both numbers are drawn here, so the generator's stream does
+    not depend on which tasks are ever built.
+
+    The identity task comes first in _task_key order, so the group needs no
+    sort.  Both tasks have stage s's k and j, and the extension's T and i
+    are the identity task's with one more column and one more row:
+
+    - every entry adds at least its denominator's 1 bit, so the extension's
+      bit size is larger by at least U.dim + V.dim;
+    - at U.dim == V.dim == 0 the bit sizes tie, and the lex key's T shape
+      (0, 0) is less than the extension's (0, 1).
+    """
     target = rnd.randrange(1 << 30)
     scale_num = rnd.randrange(-2, 3)
     stage = chain.stages[s]
     group = []
     if stage.U.dim <= chain.dim_cap and stage.V.dim <= chain.dim_cap:
         group.append(
-            Task(stage.F, LinMap.identity(stage.U), LinMap.identity(stage.V), s)
+            lambda: Task(stage.F, LinMap.identity(stage.U), LinMap.identity(stage.V), s)
         )
     if stage.U.dim + 1 <= chain.dim_cap:
         index = target % stage.V.dim if stage.V.dim else 0
-        group.append(_extension_task(stage, s, index, Fraction(scale_num, 2)))
-    return sorted(group, key=_task_key)
+        group.append(lambda: _extension_task(stage, s, index, Fraction(scale_num, 2)))
+    return group
 
 
-def _task_pool(chain: Chain) -> list[Task]:
+def _task_pool(chain: Chain) -> list:
     """Append-only pool: a fixed seeded base group, then the group of each
     existing stage, drawn in order from one generator.  The pool for a chain
     prefix is a prefix of the pool for any extension, which keeps
-    already-emitted tasks stable."""
+    already-emitted tasks stable.  Stage groups hold makers until _draw
+    builds them."""
     rnd = random.Random(chain.seed)
-    pool = _base_group(rnd)
+    pool: list = _base_group(rnd)
     for s in range(1, len(chain.stages)):
         pool += _stage_group(rnd, chain, s)
     return pool
@@ -353,13 +366,22 @@ def _dovetail(t: int) -> int:
     return t - c * (c + 1) // 2
 
 
+def _draw(pool: list, t: int) -> Task:
+    """The task of emission t; a maker is built the first time its index is
+    drawn and its task kept in its place."""
+    index = _dovetail(t) % len(pool)
+    if not isinstance(pool[index], Task):
+        pool[index] = pool[index]()
+    return pool[index]
+
+
 def enumerate_tasks(chain: Chain, budget: int) -> list[Task]:
     """Dovetailed replay of the task pool: cycles of growing prefixes, so
     every task is emitted again and again as the budget grows."""
     if budget < 1:
         raise PreconditionError("budget must be >= 1")
     pool = _task_pool(chain)
-    return [pool[_dovetail(t) % len(pool)] for t in range(budget)]
+    return [_draw(pool, t) for t in range(budget)]
 
 
 def _star_condition(chain: Chain, task: Task) -> bool:
@@ -390,9 +412,19 @@ def _realize_square(
 ) -> tuple[ChainStage, LinMap, LinMap]:
     """Realize T: X -> Y, glued along i: Z -> X and j: Z' -> Y onto the base
     stage's spaces at via_u: Z -> U and via_v: Z' -> V.  Returns the new
-    stage, whose operator extends base.F, and the embeddings of X and Y."""
+    stage, whose operator extends base.F, and the embeddings of X and Y.
+
+    A symmetric square, (base.V, via_v, j) == (base.U, via_u, i), is
+    amalgamated once: realize_over is a function of its inputs' values
+    (Space and LinMap compare on canonical rational fields), so the V side
+    would give an equal N and an equal embedding.  Its stage has V is U, so
+    the next symmetric square's comparison ends at the identity test.
+    """
     U_new, emb_x = realize_over(base.U, via_u, i)
-    V_new, emb_y = realize_over(base.V, via_v, j)
+    if (base.V, via_v, j) == (base.U, via_u, i):
+        V_new, emb_y = U_new, emb_x
+    else:
+        V_new, emb_y = realize_over(base.V, via_v, j)
     spanning = _pad_matrix(base.U.dim, U_new.dim).hstack(emb_x.matrix)
     images = (_pad_matrix(base.V.dim, V_new.dim) @ base.F.matrix).hstack(
         emb_y.matrix @ T.matrix
@@ -484,11 +516,11 @@ def build_chain(stages: int, dim_cap: int = DEFAULT_DIM_CAP, seed: int = 0) -> C
         raise PreconditionError("dim_cap must be >= 0")
     chain = zero_chain(dim_cap, seed)
     rnd = random.Random(seed)
-    pool = _base_group(rnd)
+    pool: list = _base_group(rnd)
     for n in range(1, stages + 1):
         if n > 1:
             pool += _stage_group(rnd, chain, n - 1)
-        chain = step_chain(chain, pool[_dovetail(n - 1) % len(pool)])
+        chain = step_chain(chain, _draw(pool, n - 1))
     # Each step that grew a stage certified its extension identity in
     # solve_through and its inclusions isometric in realize_over; every other
     # step appended the previous stage object itself, which keeps its

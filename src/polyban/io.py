@@ -136,10 +136,12 @@ def linmap_to_json(m: LinMap) -> dict:
 def chain_to_json(chain: Chain) -> dict:
     stages = []
     for stage, entry in zip(chain.stages, (None,) + chain.log):
+        U = space_to_json(stage.U)
         stages.append(
             {
-                "U": space_to_json(stage.U),
-                "V": space_to_json(stage.V),
+                "U": U,
+                # A dict shared by siblings encodes twice, with equal bytes.
+                "V": U if stage.V is stage.U else space_to_json(stage.V),
                 "F": mat_to_json(stage.F.matrix),
                 "log": None
                 if entry is None
@@ -175,6 +177,12 @@ def _check_growth(prev: ChainStage, stage: ChainStage) -> None:
             raise ParseError(f"cannot pad dimension {small} into dimension {big}")
 
 
+def _check_norm(stage: ChainStage) -> None:
+    norm_f = operator_norm(stage.F)
+    if norm_f > 1:
+        raise ParseError(f"stage operator has norm {norm_f} > 1")
+
+
 def _verify_stage(prev: ChainStage, stage: ChainStage) -> None:
     """Full check of a loaded stage against its predecessor, along the
     coordinate pads of its spaces.  A chain file is outside input, so a
@@ -182,17 +190,18 @@ def _verify_stage(prev: ChainStage, stage: ChainStage) -> None:
 
     The pads are ``[I; 0]``, so ``F pad_U == pad_V F_prev`` says that the
     leading ``V_prev.dim x U_prev.dim`` block of F is F_prev and that the
-    rows of F below it vanish in those columns.
+    rows of F below it vanish in those columns.  When both stages have
+    V is U, the V pad is the U pad and is checked once.
     """
-    norm_f = operator_norm(stage.F)
-    if norm_f > 1:
-        raise ParseError(f"stage operator has norm {norm_f} > 1")
+    _check_norm(stage)
     block = [row[: prev.U.dim] for row in stage.F.matrix.entries]
     top, below = block[: prev.V.dim], block[prev.V.dim :]
     if top != list(prev.F.matrix.entries) or any(x for row in below for x in row):
         raise ParseError("stage does not extend the previous operator")
-    incl_u, incl_v = pad_map(prev.U, stage.U), pad_map(prev.V, stage.V)
-    if not is_isometric(incl_u) or not is_isometric(incl_v):
+    if not is_isometric(pad_map(prev.U, stage.U)) or (
+        (stage.V is not stage.U or prev.V is not prev.U)
+        and not is_isometric(pad_map(prev.V, stage.V))
+    ):
         raise ParseError("stage inclusion lost isometry")
 
 
@@ -224,14 +233,14 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
     """Rebuild a chain; with verify, every stage is checked in full.  A stage
     whose spaces shrink is rejected either way.
 
-    From stage 2 on, a record whose U, V and F equal the previous record's,
+    From stage 1 on, a record whose U, V and F equal the previous record's,
     as JSON and type for type, is the previous stage: the same ChainStage
-    object is appended, with no second parse or check.  Its checks follow from the
-    previous stage's: F is the same, the pads are identities, and F's norm
-    was checked with the previous stage (stage 0 has no check of its own,
-    so stage 1 is always parsed).  Likewise a U or V equal to the previous
-    record's is the previous stage's space.  Every record's log entry is
-    parsed and checked.
+    object is appended, with no second parse or check.  Its checks follow
+    from the previous stage's: F is the same, the pads are identities, and
+    F's norm was checked with the previous stage (with verify, stage 0's
+    norm is checked too).  Likewise a U or V equal to the previous record's
+    is the previous stage's space, and a V equal to its own record's U is
+    that U.  Every record's log entry is parsed and checked.
     """
     if not isinstance(obj, dict) or "stages" not in obj:
         raise ParseError("chain object needs a stages list")
@@ -252,17 +261,24 @@ def chain_from_json(obj, verify: bool = True) -> Chain:
         what = f"chain stage {idx}"
         prev_docs, docs = docs, [require_field(record, k, what) for k in ("U", "V", "F")]
         same = [idx > 0 and _same_json(new, old) for new, old in zip(docs, prev_docs)]
-        if idx > 1 and all(same):
+        if all(same):
             stage = stages[-1]
         else:
             with _labelled(what):
                 U = stages[-1].U if same[0] else space_from_json(docs[0])
-                V = stages[-1].V if same[1] else space_from_json(docs[1])
+                if same[1]:
+                    V = stages[-1].V
+                elif _same_json(docs[1], docs[0]):
+                    V = U
+                else:
+                    V = space_from_json(docs[1])
                 stage = ChainStage(U, V, LinMap(mat_from_json(docs[2], V.dim, U.dim), U, V))
                 if idx > 0:
                     _check_growth(stages[-1], stage)
                     if verify:
                         _verify_stage(stages[-1], stage)
+                elif verify:
+                    _check_norm(stage)
         stages.append(stage)
         entry = record.get("log")
         if idx > 0:

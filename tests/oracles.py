@@ -11,10 +11,12 @@ without them.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
+from polyban.banach import LinMap, operator_norm
 from polyban.errors import NotANorm
 from polyban.exactlin import (
     OPTIMAL,
@@ -25,6 +27,16 @@ from polyban.exactlin import (
     _rref_ints,
     lp_solve,
     solve_linear,
+)
+from polyban.fraisse import (
+    ChainStage,
+    Task,
+    _base_group,
+    _extension_task,
+    _pad_matrix,
+    _task_key,
+    realize_over,
+    solve_through,
 )
 from polyban.polytope import Ball, canon_sign
 
@@ -540,3 +552,39 @@ def coset_min_norm(space, kernel, x):
     status, payload = lp_solve(problem)
     assert status == OPTIMAL
     return payload[0]
+
+
+def eager_task_pool(chain):
+    """The task pool built in full: every stage group's tasks made at once
+    and sorted by `_task_key`, as `fraisse._task_pool` did before its stage
+    groups became makers built when drawn."""
+    rnd = random.Random(chain.seed)
+    pool = _base_group(rnd)
+    for s in range(1, len(chain.stages)):
+        target = rnd.randrange(1 << 30)
+        scale_num = rnd.randrange(-2, 3)
+        stage = chain.stages[s]
+        group = []
+        if stage.U.dim <= chain.dim_cap and stage.V.dim <= chain.dim_cap:
+            group.append(
+                Task(stage.F, LinMap.identity(stage.U), LinMap.identity(stage.V), s)
+            )
+        if stage.U.dim + 1 <= chain.dim_cap:
+            index = target % stage.V.dim if stage.V.dim else 0
+            group.append(_extension_task(stage, s, index, Fraction(scale_num, 2)))
+        pool += sorted(group, key=_task_key)
+    return pool
+
+
+def two_sided_realize_square(base, via_u, via_v, T, i, j):
+    """`fraisse._realize_square` with one `realize_over` per side, equal
+    sides or not."""
+    U_new, emb_x = realize_over(base.U, via_u, i)
+    V_new, emb_y = realize_over(base.V, via_v, j)
+    spanning = _pad_matrix(base.U.dim, U_new.dim).hstack(emb_x.matrix)
+    images = (_pad_matrix(base.V.dim, V_new.dim) @ base.F.matrix).hstack(
+        emb_y.matrix @ T.matrix
+    )
+    F_new = solve_through(spanning, images, U_new, V_new)
+    assert operator_norm(F_new) <= 1
+    return ChainStage(U_new, V_new, F_new), emb_x, emb_y

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import eager_task_pool, two_sided_realize_square
 from polyban.banach import (
     LinMap,
     Space,
@@ -43,6 +44,8 @@ from polyban.fraisse import (
     surjectivity_witness,
     zero_chain,
     zero_task,
+    _dovetail,
+    _extension_task,
     _repeat_stage,
     _stage_index,
     _star_condition,
@@ -127,6 +130,18 @@ class TestEnumerateTasks:
         for task in enumerate_tasks(chain, 40):
             assert task.T.domain.dim <= chain.dim_cap + 1
             assert task.T.codomain.dim <= chain.dim_cap
+
+    @pytest.mark.parametrize("cap", range(2, 9))
+    def test_lazy_pool_draws_equal_the_eager_pool(self, cap):
+        """Stage groups built when drawn, unsorted, emit the tasks of the
+        sorted pool built in full, for a budget that draws every index."""
+        for seed in range(16):
+            chain = build_chain(30, cap, seed)
+            pool = eager_task_pool(chain)
+            budget = len(pool) * (len(pool) + 1) // 2
+            assert {_dovetail(t) for t in range(budget)} == set(range(len(pool)))
+            expected = [pool[_dovetail(t) % len(pool)] for t in range(budget)]
+            assert enumerate_tasks(chain, budget) == expected
 
 
 def realized_in_full(chain, task):
@@ -238,9 +253,51 @@ class TestStepChain:
         growing = [
             (prev.U.dim, prev.V.dim) != (stage.U.dim, stage.V.dim) for prev, stage in pairs
         ]
-        assert len(calls) == 2 * sum(growing)
+        # Every square of this chain is symmetric, so each growing step
+        # amalgamates once and shares its U as its V.
+        assert len(calls) == sum(growing)
         assert all(stage is prev for (prev, stage), grew in zip(pairs, growing) if not grew)
+        assert all(stage.V is stage.U for stage in chain.stages)
         assert sum(growing) == 8
+
+    @pytest.mark.parametrize("cap", range(2, 9))
+    def test_every_realized_square_equals_the_two_sided_oracle(self, monkeypatch, cap):
+        import polyban.fraisse
+
+        real = polyban.fraisse._realize_square
+        squares = []
+
+        def checked(*args):
+            out = real(*args)
+            assert out == two_sided_realize_square(*args)
+            squares.append(out[0])
+            return out
+
+        monkeypatch.setattr(polyban.fraisse, "_realize_square", checked)
+        for seed in range(16):
+            build_chain(30, cap, seed)
+        assert squares and all(stage.V is stage.U for stage in squares)
+
+    def test_asymmetric_square_realizes_both_sides(self, monkeypatch):
+        import polyban.fraisse
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return realize_over(*args)
+
+        chain = build_chain(3, 4, 0)
+        prev = chain.stages[-1]
+        task = _extension_task(prev, 3, 0, F(1, 2))
+        monkeypatch.setattr(polyban.fraisse, "realize_over", counted)
+        out = step_chain(chain, task)
+        assert out.log[-1].verdict == "realized"
+        stage = out.stages[-1]
+        assert (stage.U.dim, stage.V.dim) == (2, 1)
+        assert len(calls) == 2 and stage.V is not stage.U
+        pads = pad_map(prev.U, prev.U), pad_map(prev.V, prev.V)
+        assert stage == two_sided_realize_square(prev, *pads, task.T, task.i, task.j)[0]
 
     def test_stage_invariants(self):
         chain = build_chain(6, dim_cap=4, seed=0)
